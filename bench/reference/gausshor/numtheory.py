@@ -1,0 +1,165 @@
+"""Exact integer arithmetic shared by every oracle in the package.
+
+Everything here is pure integer math: a gcd with the convention
+gcd(0, n) = n, validation of odd semiprimes by trial division, and the
+strict upper count [x] = floor(x) + 1 used to count comb points inside a
+register of given size.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+
+DEFAULT_FACTOR_CAP = 10**6
+
+
+class NotSemiprimeError(ValueError):
+    """Raised when a number is not a product of two distinct odd primes.
+
+    ``reason`` is one of ``"even"``, ``"prime"``, ``"prime-power"``,
+    ``"too-many-factors"``, ``"out-of-range"``.  For the too-many-factors
+    case the full prime factorization found is attached so callers can
+    report it.
+    """
+
+    def __init__(self, n: int, reason: str, factors: tuple[int, ...] = ()):
+        self.n = n
+        self.reason = reason
+        self.factors = factors
+        detail = f" (= {' * '.join(map(str, factors))})" if factors else ""
+        super().__init__(f"{n} is not an odd semiprime: {reason}{detail}")
+
+
+@dataclass(frozen=True)
+class Semiprime:
+    """An odd composite n = p * q with two distinct odd prime factors, p < q."""
+
+    n: int
+    p: int
+    q: int
+
+    def __post_init__(self):
+        if self.p * self.q != self.n:
+            raise ValueError(f"{self.p} * {self.q} != {self.n}")
+        if not (3 <= self.p < self.q):
+            raise ValueError(f"need 3 <= p < q, got p={self.p}, q={self.q}")
+        for f in (self.p, self.q):
+            if not _is_prime(f):
+                raise ValueError(f"{f} is not prime")
+
+    @property
+    def coprime_count(self) -> int:
+        """Number of residues in [0, n) sharing no divisor with n."""
+        return (self.p - 1) * (self.q - 1)
+
+
+class GcdCase(Enum):
+    UNIT = "unit"
+    SHARES_P = "shares-p"
+    SHARES_Q = "shares-q"
+    MULTIPLE_OF_N = "multiple-of-n"
+
+
+@dataclass(frozen=True)
+class GcdClass:
+    """Classification of a residue by the divisor it shares with a semiprime."""
+
+    case: GcdCase
+    gcd: int
+
+
+def gcd_conv(a: int, n: int) -> int:
+    """Greatest common divisor with the convention gcd_conv(0, n) = n.
+
+    Plain Euclid already satisfies gcd(0, n) = n; the function exists to
+    pin that convention down in one audited place.  n must be positive.
+    """
+    if n < 1:
+        raise ValueError(f"modulus must be >= 1, got {n}")
+    if a < 0:
+        raise ValueError(f"argument must be >= 0, got {a}")
+    return math.gcd(a, n)
+
+
+def classify_gcd(ell: int, s: Semiprime) -> GcdClass:
+    """Sort a residue into the four divisor classes of a semiprime."""
+    g = gcd_conv(ell % s.n, s.n)
+    if g == s.n:
+        case = GcdCase.MULTIPLE_OF_N
+    elif g == s.p:
+        case = GcdCase.SHARES_P
+    elif g == s.q:
+        case = GcdCase.SHARES_Q
+    else:
+        case = GcdCase.UNIT
+    return GcdClass(case, g)
+
+
+def count_upper(numerator: int, denominator: int) -> int:
+    """Smallest integer strictly greater than numerator/denominator.
+
+    Implemented as floor + 1, so an exact ratio maps to ratio + 1.  For a
+    power-of-two numerator and odd denominator > 1 the ratio is never
+    integral and this equals the ceiling; it then counts the multiples of
+    ``denominator`` in [0, numerator).
+    """
+    if denominator < 1:
+        raise ValueError(f"denominator must be >= 1, got {denominator}")
+    if numerator < 1:
+        raise ValueError(f"numerator must be >= 1, got {numerator}")
+    return numerator // denominator + 1
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def _trial_factorization(n: int) -> list[int]:
+    """Prime factors of n with multiplicity, ascending. Trial division."""
+    out = []
+    rem = n
+    while rem % 2 == 0:
+        out.append(2)
+        rem //= 2
+    f = 3
+    while f * f <= rem:
+        while rem % f == 0:
+            out.append(f)
+            rem //= f
+        f += 2
+    if rem > 1:
+        out.append(rem)
+    return out
+
+
+def factor_semiprime(n: int, cap: int = DEFAULT_FACTOR_CAP) -> Semiprime:
+    """Validate and split an odd semiprime by trial division.
+
+    Ground truth for oracles and tests only: the simulated algorithms must
+    never consult this on their decision path.  Numbers that are even,
+    prime, a prime power, or carry three or more prime factors are rejected
+    with distinct reasons.
+    """
+    if n % 2 == 0:
+        raise NotSemiprimeError(n, "even")
+    if n < 3 or n > cap:
+        raise NotSemiprimeError(n, "out-of-range")
+    factors = _trial_factorization(n)
+    if len(factors) == 1:
+        raise NotSemiprimeError(n, "prime")
+    if len(set(factors)) == 1:
+        raise NotSemiprimeError(n, "prime-power", tuple(factors))
+    if len(factors) > 2:
+        raise NotSemiprimeError(n, "too-many-factors", tuple(factors))
+    return Semiprime(n, factors[0], factors[1])

@@ -1,0 +1,405 @@
+"""Factoring by measuring the divisor signal of an entangled register pair.
+
+The joint state puts register A in a uniform superposition of 2**Q trial
+factors and stores in B the divisor signal g(l, N) = gcd(l, N), which for
+a semiprime N = p*q only ever takes the four values {1, p, q, N}.  B is
+therefore held as a four-label register.  Measuring B leaves A in a comb
+state whose support is
+
+    label N : multiples of N,
+    label p : multiples of p that are not multiples of N (likewise q),
+    label 1 : everything coprime to N,
+
+and the Fourier transform of a comb concentrates near multiples of
+2**Q / period.  Rational reconstruction of those peak positions by
+continued fractions recovers the period, uniquely so once 2**Q > N**2.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+from fractions import Fraction
+
+import numpy as np
+
+from .numtheory import Semiprime, count_upper, factor_semiprime, gcd_conv
+from .states import (
+    BipartiteState,
+    Distribution,
+    check_amplitude_cap,
+    qft_vector,
+    sample_outcome,
+)
+from .trials import DriverResult, TrialRecord, trial_rng
+
+
+class BranchKind(Enum):
+    CASE_N = "n"
+    CASE_FACTOR = "factor"
+    CASE_UNIT = "unit"
+
+
+@dataclass(frozen=True)
+class BranchOutcome:
+    """One of the possible B measurement values with its exact probability."""
+
+    kind: BranchKind
+    label: int
+    probability: Fraction
+
+
+@dataclass(frozen=True)
+class PeakReport:
+    """Where a Fourier comb put its mass relative to a candidate period.
+
+    positions are the bins nearest j * 2**Q / period for j = 1 .. period-1
+    (the j = 0 DC bin is reported separately); mass is their total
+    probability.  max_off_structure is the tallest bin at a modulus-comb
+    position that does not coincide with a period position.
+    """
+
+    period: int
+    positions: tuple[int, ...]
+    mass: float
+    dc_mass: float
+    max_on_peak: float
+    max_off_structure: float
+
+
+@dataclass(frozen=True)
+class DivisorCandidate:
+    """Continued-fraction readout of a measured Fourier bin."""
+
+    denominator: int
+    gcd_with_n: int
+
+
+@dataclass(frozen=True)
+class PeakMassBounds:
+    """Analytic lower bounds on peak masses, as exact rationals.
+
+    ``factor_*`` entries describe the state after measuring a factor label
+    f (keyed by f); ``unit_*`` entries describe the state after measuring
+    label 1.  ``*_per_bin`` bounds hold for each single peak bin,
+    ``*_total`` for the mass summed over a full family of peaks.
+    """
+
+    factor_peak_per_bin: dict[int, Fraction]
+    factor_peak_total: dict[int, Fraction]
+    factor_modulus_per_bin: dict[int, Fraction]
+    factor_modulus_total: dict[int, Fraction]
+    unit_peak_per_bin: dict[int, Fraction]
+    unit_peak_total: dict[int, Fraction]
+    unit_modulus_per_bin: Fraction
+    unit_factor_total: Fraction
+
+
+def min_register_bits(n: int) -> int:
+    """Smallest Q with 2**Q > n**2, the unique-reconstruction threshold."""
+    return (n * n).bit_length()
+
+
+def _check_register(s: Semiprime, q_bits: int, allow_small_register: bool) -> None:
+    if q_bits < 1:
+        raise ValueError(f"register size must be >= 1 bit, got {q_bits}")
+    if not allow_small_register and (1 << q_bits) <= s.n * s.n:
+        raise ValueError(
+            f"2**{q_bits} <= {s.n}**2: peak positions are not uniquely "
+            "decodable; pass allow_small_register to run anyway"
+        )
+
+
+def b_labels(s: Semiprime) -> tuple[int, int, int, int]:
+    """Divisor-signal values in register order: (1, p, q, N)."""
+    return (1, s.p, s.q, s.n)
+
+
+def build_state(
+    s: Semiprime, q_bits: int, allow_small_register: bool = False
+) -> BipartiteState:
+    """Joint state 2**(-Q/2) sum_l |l>_A |g(l, N)>_B over the four B labels."""
+    _check_register(s, q_bits, allow_small_register)
+    dim_a = 1 << q_bits
+    check_amplitude_cap(dim_a * 4)
+    gcds = np.gcd(np.arange(dim_a, dtype=np.int64) % s.n, s.n)
+    label_index = np.zeros(dim_a, dtype=np.int64)  # default: label 1
+    label_index[gcds == s.p] = 1
+    label_index[gcds == s.q] = 2
+    label_index[gcds == s.n] = 3
+    amps = np.zeros((dim_a, 4), dtype=np.complex128)
+    amps[np.arange(dim_a), label_index] = 1.0 / math.sqrt(dim_a)
+    return BipartiteState(dim_a, 4, amps)
+
+
+def branch_probs(
+    s: Semiprime, q_bits: int, allow_small_register: bool = False
+) -> list[BranchOutcome]:
+    """Exact measurement probabilities of the four B labels, from comb counts.
+
+    With M_x = count_upper(2**Q, x) the counts are M_N multiples of N,
+    M_p - M_N proper multiples of p, M_q - M_N of q, and the coprime rest.
+    The four probabilities sum to exactly 1.
+    """
+    _check_register(s, q_bits, allow_small_register)
+    size = 1 << q_bits
+    m_n = count_upper(size, s.n)
+    m_p = count_upper(size, s.p)
+    m_q = count_upper(size, s.q)
+    return [
+        BranchOutcome(BranchKind.CASE_N, s.n, Fraction(m_n, size)),
+        BranchOutcome(BranchKind.CASE_FACTOR, s.p, Fraction(m_p - m_n, size)),
+        BranchOutcome(BranchKind.CASE_FACTOR, s.q, Fraction(m_q - m_n, size)),
+        BranchOutcome(
+            BranchKind.CASE_UNIT, 1, Fraction(size - m_p - m_q + m_n, size)
+        ),
+    ]
+
+
+def post_state(
+    s: Semiprime, q_bits: int, label: int, allow_small_register: bool = False
+) -> np.ndarray:
+    """Normalized A vector after B was measured with the given label.
+
+    label must be one of (1, p, q, N).  Support: multiples of N for label N;
+    multiples of f except multiples of N for a factor label f; everything
+    coprime to N for label 1.
+    """
+    _check_register(s, q_bits, allow_small_register)
+    size = 1 << q_bits
+    ell = np.arange(size, dtype=np.int64)
+    if label == s.n:
+        comb = (ell % s.n == 0).astype(np.float64)
+    elif label in (s.p, s.q):
+        comb = (ell % label == 0).astype(np.float64)
+        comb -= (ell % s.n == 0).astype(np.float64)
+    elif label == 1:
+        comb = np.ones(size)
+        comb -= ell % s.p == 0
+        comb -= ell % s.q == 0
+        comb += ell % s.n == 0
+    else:
+        raise ValueError(f"label {label} is not one of {b_labels(s)}")
+    support = int(np.sum(comb))
+    return comb.astype(np.complex128) / math.sqrt(support)
+
+
+def qft_distribution(
+    s: Semiprime, q_bits: int, label: int, allow_small_register: bool = False
+) -> Distribution:
+    """|QFT(post state)|^2 over the 2**Q output bins."""
+    vec = qft_vector(post_state(s, q_bits, label, allow_small_register))
+    probs = vec.real**2 + vec.imag**2
+    return Distribution(np.arange(len(vec)), probs)
+
+
+def peak_positions(period: int, q_bits: int) -> tuple[int, ...]:
+    """Bins nearest j * 2**Q / period for j = 1 .. period-1.
+
+    Exact half-integer offsets round half-up; duplicates collapse.  The
+    j = 0 bin is excluded (handled as the DC bin by callers).
+    """
+    size = 1 << q_bits
+    pos = sorted({(2 * j * size + period) // (2 * period) for j in range(1, period)})
+    return tuple(pos)
+
+
+def analyze_peaks(
+    dist: Distribution, period: int, q_bits: int, modulus: int | None = None
+) -> PeakReport:
+    """Measure how much probability sits on the comb of a candidate period.
+
+    ``modulus`` (usually the number under test) fixes the reference comb
+    for the off-structure comparison: the tallest bin at a modulus-comb
+    position that is not also a period position.
+    """
+    size = 1 << q_bits
+    if len(dist.probs) != size:
+        raise ValueError(f"distribution has {len(dist.probs)} bins, expected {size}")
+    positions = peak_positions(period, q_bits)
+    on = dist.probs[list(positions)]
+    mass = float(np.sum(on))
+    max_on = float(np.max(on)) if len(on) else 0.0
+    max_off = 0.0
+    if modulus is not None:
+        off_bins = [b for b in peak_positions(modulus, q_bits) if b not in set(positions)]
+        if off_bins:
+            max_off = float(np.max(dist.probs[off_bins]))
+    return PeakReport(
+        period=period,
+        positions=positions,
+        mass=mass,
+        dc_mass=float(dist.probs[0]),
+        max_on_peak=max_on,
+        max_off_structure=max_off,
+    )
+
+
+def peak_mass_bounds(s: Semiprime, q_bits: int) -> PeakMassBounds:
+    """Analytic lower bounds on the post-Fourier peak masses.
+
+    All bounds carry the 2/pi > 0.4 comb-peak estimate.  For the state
+    after a factor measurement f (cofactor c = N/f):
+
+        per factor-comb bin:   0.4 (N - f) / (N f),   total 0.4 (N - f) / N
+        per modulus-comb bin:  0.4 f / (N (N - f)),   total 0.4 f / N
+
+    and after a unit measurement, with u = N - p - q + 1 coprime points:
+
+        per p-comb bin 0.4 (q-1)^2 / (N u), per q-comb bin 0.4 (p-1)^2 / (N u),
+        per modulus bin 0.4 / (N u),
+        factor combs total 0.4 (N q + N p + q + p - 4 N) / (N u).
+    """
+    n, p, q = s.n, s.p, s.q
+    c = Fraction(2, 5)
+    unit_count = n - p - q + 1
+    return PeakMassBounds(
+        factor_peak_per_bin={f: c * (n - f) / (n * f) for f in (p, q)},
+        factor_peak_total={f: c * (n - f) / n for f in (p, q)},
+        factor_modulus_per_bin={f: c * f / (n * (n - f)) for f in (p, q)},
+        factor_modulus_total={f: c * f / n for f in (p, q)},
+        unit_peak_per_bin={
+            p: c * (q - 1) ** 2 / (n * unit_count),
+            q: c * (p - 1) ** 2 / (n * unit_count),
+        },
+        unit_peak_total={
+            p: c * p * (q - 1) ** 2 / (n * unit_count),
+            q: c * q * (p - 1) ** 2 / (n * unit_count),
+        },
+        unit_modulus_per_bin=c / Fraction(n * unit_count),
+        unit_factor_total=c * (n * q + n * p + q + p - 4 * n) / (n * unit_count),
+    )
+
+
+def recover_divisor(m: int, q_bits: int, n: int) -> DivisorCandidate:
+    """Decode a measured Fourier bin into a divisor candidate.
+
+    Runs the continued-fraction expansion of m / 2**Q and keeps the
+    convergent with denominator <= n closest to it; the caller inspects
+    gcd(denominator, n): a value strictly between 1 and n is a factor,
+    anything else means retry.  m = 0 (the DC bin) carries no period
+    information and is rejected.
+    """
+    size = 1 << q_bits
+    if not (0 < m < size):
+        raise ValueError(f"bin index must be in (0, {size}), got {m}")
+    target = Fraction(m, size)
+    best: Fraction | None = None
+    num, den = m, size
+    h_prev, h = 0, 1  # convergent numerators
+    k_prev, k = 1, 0  # convergent denominators
+    while den != 0:
+        a = num // den
+        num, den = den, num - a * den
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+        if k > n:
+            break
+        if k >= 1 and (best is None or abs(target - Fraction(h, k)) < abs(target - best)):
+            best = Fraction(h, k)
+    if best is None:
+        raise ValueError(f"no convergent of {m}/{size} has denominator <= {n}")
+    d = best.denominator
+    return DivisorCandidate(denominator=d, gcd_with_n=gcd_conv(d, n))
+
+
+class _DriverCache:
+    """Per-(N, Q) tables shared across trials: branch CDF and unit-branch QFT CDF."""
+
+    def __init__(self, s: Semiprime, q_bits: int, allow_small_register: bool):
+        self.s = s
+        self.q_bits = q_bits
+        self.allow_small_register = allow_small_register
+        self.branches = branch_probs(s, q_bits, allow_small_register)
+        self.branch_probs_float = np.array(
+            [float(b.probability) for b in self.branches]
+        )
+        self._unit_probs: np.ndarray | None = None
+        self._factor_posts: dict[int, np.ndarray] = {}
+
+    def unit_qft_probs(self) -> np.ndarray:
+        if self._unit_probs is None:
+            vec = qft_vector(
+                post_state(self.s, self.q_bits, 1, self.allow_small_register)
+            )
+            self._unit_probs = vec.real**2 + vec.imag**2
+        return self._unit_probs
+
+    def factor_post_probs(self, label: int) -> np.ndarray:
+        if label not in self._factor_posts:
+            vec = post_state(self.s, self.q_bits, label, self.allow_small_register)
+            self._factor_posts[label] = vec.real**2 + vec.imag**2
+        return self._factor_posts[label]
+
+
+def run_trial(
+    s: Semiprime,
+    q_bits: int,
+    rng: np.random.Generator,
+    trial_index: int = 0,
+    mode: str = "qft",
+    allow_small_register: bool = False,
+    cache: _DriverCache | None = None,
+) -> TrialRecord:
+    """One measurement round.
+
+    Measure B.  A factor label is itself the answer; in "direct-read" mode
+    the A register is sampled instead and gcd(l, N) reported, which reads
+    the comb period without any Fourier step.  Label N is a retry.  Label 1
+    Fourier-transforms the coprime comb, samples one bin, and attempts
+    rational reconstruction (rarely useful, but exercised).
+    """
+    if mode not in ("qft", "direct-read"):
+        raise ValueError(f"unknown trial mode {mode!r}")
+    if cache is None:
+        cache = _DriverCache(s, q_bits, allow_small_register)
+    branch = cache.branches[sample_outcome(cache.branch_probs_float, rng)]
+    if branch.kind is BranchKind.CASE_FACTOR:
+        if mode == "direct-read":
+            ell = sample_outcome(cache.factor_post_probs(branch.label), rng)
+            g = gcd_conv(ell % s.n, s.n)
+            factor = g if 1 < g < s.n else None
+            return TrialRecord(trial_index, branch.label, outcome_a=ell, factor=factor)
+        return TrialRecord(trial_index, branch.label, factor=branch.label)
+    if branch.kind is BranchKind.CASE_N:
+        return TrialRecord(trial_index, branch.label)
+    # unit branch: QFT, sample, reconstruct
+    m = sample_outcome(cache.unit_qft_probs(), rng)
+    if m == 0:
+        return TrialRecord(trial_index, branch.label, outcome_a=0)
+    cand = recover_divisor(m, q_bits, s.n)
+    factor = cand.gcd_with_n if 1 < cand.gcd_with_n < s.n else None
+    return TrialRecord(
+        trial_index,
+        branch.label,
+        outcome_a=m,
+        candidate=cand.denominator,
+        factor=factor,
+    )
+
+
+def factor_driver(
+    n: int,
+    q_bits: int,
+    max_trials: int,
+    seed: int,
+    mode: str = "qft",
+    allow_small_register: bool = False,
+    keep_records: bool = True,
+) -> DriverResult:
+    """Repeat trials until some trial reports a factor or the budget runs out."""
+    s = factor_semiprime(n)
+    cache = _DriverCache(s, q_bits, allow_small_register)
+    records = []
+    for t in range(max_trials):
+        rec = run_trial(
+            s, q_bits, trial_rng(seed, t), t, mode, allow_small_register, cache
+        )
+        if keep_records:
+            records.append(rec)
+        if rec.factor is not None:
+            return DriverResult(
+                n, True, rec.factor, t + 1, max_trials, seed, tuple(records)
+            )
+    return DriverResult(n, False, None, max_trials, max_trials, seed, tuple(records))

@@ -1,0 +1,311 @@
+"""Factoring by interfering shifted Gauss sums in the amplitudes.
+
+Two uniform registers of size N are entangled by the quadratic-phase
+unitary and the B register is Fourier transformed, leaving the joint
+amplitudes proportional to the shifted Gauss sums W_n(l).  Measuring B
+then hands A a distribution over trial factors whose enhanced points (or
+exact zeros) mark the divisors of N.
+
+The exact run materializes the N x N grid.  The qubit variant works on
+two registers of size 2**Q > N**2 instead; its grid is never
+materialized: each A row's B amplitudes are one FFT of a quadratic-phase
+vector, and marginals are accumulated row block by row block in a fixed
+order, so results do not depend on how the work is scheduled.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from .kernels import eval_W
+from .numtheory import Semiprime, factor_semiprime, gcd_conv
+from .states import (
+    BipartiteState,
+    Distribution,
+    StateIntegrityError,
+    amplitude_cap,
+    apply_quadratic_phase,
+    conditional_a,
+    marginal_b,
+    qft_b,
+    sample_outcome,
+    uniform_product,
+)
+from .trials import DriverResult, TrialRecord, trial_rng
+
+MAX_QUBIT_BITS = 20
+_BLOCK_ENTRIES = 1 << 20  # rows per streaming block are sized against this
+
+
+@dataclass(frozen=True)
+class SuperpositionRun:
+    """One prepared instance of the algorithm.
+
+    mode "exact" carries the full N x N post-Fourier state; mode "qubit"
+    carries only the accumulated B marginal of the 2**Q register pair.
+    """
+
+    s: Semiprime
+    mode: str
+    q_bits: int | None = None
+    state: BipartiteState | None = None
+    pb_probs: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self.s.n
+
+
+@dataclass(frozen=True)
+class SuccessMass:
+    """How the B marginal splits into useful and useless outcomes.
+
+    Useful outcomes are n0 = 0 and multiples of a factor: exactly the
+    cases whose conditional A distribution keeps mass on factor multiples.
+    """
+
+    p_b_zero: float
+    p_b_factor_multiple: float
+    p_b_coprime: float
+
+    @property
+    def total_useful(self) -> float:
+        return self.p_b_zero + self.p_b_factor_multiple
+
+
+def _check_exact(run: SuperpositionRun) -> BipartiteState:
+    if run.mode != "exact" or run.state is None:
+        raise ValueError("operation requires an exact-dimension run")
+    return run.state
+
+
+def run_exact(n: int) -> SuperpositionRun:
+    """Prepare the exact N x N state: uniform product, quadratic phase, Fourier on B.
+
+    A handful of amplitudes are spot-checked against directly summed
+    shifted Gauss sums before the run is handed out.
+    """
+    s = factor_semiprime(n)
+    state = qft_b(apply_quadratic_phase(uniform_product(n, n), n))
+    root_n = math.sqrt(n)
+    for ell, shift in ((0, 0), (1, 0), (1, 1), (s.p, 2 * s.p), (s.q, 1), (n - 1, n - 1)):
+        expected = eval_W(shift, ell, n) / root_n
+        if abs(state.amps[ell, shift] - expected) > 1e-9:
+            raise StateIntegrityError(
+                f"amplitude ({ell}, {shift}) disagrees with direct summation"
+            )
+    return SuperpositionRun(s=s, mode="exact", state=state)
+
+
+def p_b_distribution(run: SuperpositionRun) -> Distribution:
+    """Marginal of the B register: exact brute force, or the streamed qubit marginal."""
+    if run.mode == "exact":
+        return marginal_b(_check_exact(run))
+    assert run.pb_probs is not None
+    return Distribution(np.arange(len(run.pb_probs)), run.pb_probs)
+
+
+def success_mass(run: SuperpositionRun) -> SuccessMass:
+    """Split the exact B marginal by the divisor class of the outcome."""
+    state = _check_exact(run)
+    probs = marginal_b(state).probs
+    n, p, q = run.s.n, run.s.p, run.s.q
+    gcds = np.gcd(np.arange(n), n)
+    factor_mask = (gcds == p) | (gcds == q)
+    zero = float(probs[0])
+    factor = float(np.sum(probs[factor_mask]))
+    coprime = float(np.sum(probs[gcds == 1]))
+    return SuccessMass(zero, factor, coprime)
+
+
+def factor_mass_a(run: SuperpositionRun, n0: int) -> float:
+    """Probability that the conditional A sample is a nonzero multiple of p or q."""
+    state = _check_exact(run)
+    cond = conditional_a(state, n0)
+    n, p, q = run.s.n, run.s.p, run.s.q
+    gcds = np.gcd(np.arange(n), n)
+    return float(np.sum(cond.probs[(gcds == p) | (gcds == q)]))
+
+
+def _phase_roots(n: int) -> np.ndarray:
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _stream_blocks(q_bits: int):
+    """Fixed partition of the 2**Q rows into equal-size blocks."""
+    size = 1 << q_bits
+    rows = max(1, _BLOCK_ENTRIES >> q_bits)
+    for start in range(0, size, rows):
+        yield start, min(start + rows, size)
+
+
+def run_qubit(n: int, q_bits: int) -> SuperpositionRun:
+    """Prepare the power-of-two variant and stream out its B marginal.
+
+    Requires N**2 < 2**Q (so the Fourier peaks of the N-comb are uniquely
+    placed) and Q <= 20.  For each block of rows l, the B amplitudes
+    (1/M) sum_m exp[2*pi*i*(m^2 l / N + m n / M)] over all n are one
+    inverse FFT of the quadratic-phase vector; their squared moduli are
+    accumulated block by block in ascending order.
+    """
+    s = factor_semiprime(n)
+    if q_bits > MAX_QUBIT_BITS:
+        raise ValueError(f"register size 2**{q_bits} beyond streaming cap 2**{MAX_QUBIT_BITS}")
+    size = 1 << q_bits
+    if n * n >= size:
+        raise ValueError(f"need n**2 < 2**q_bits, got {n}**2 >= 2**{q_bits}")
+    msq = (np.arange(size, dtype=np.int64) ** 2) % n
+    roots = _phase_roots(n)
+    acc = np.zeros(size)
+    for start, stop in _stream_blocks(q_bits):
+        ells = np.arange(start, stop, dtype=np.int64)
+        rows = np.fft.ifft(roots[(ells[:, None] * msq[None, :]) % n], axis=1)
+        acc += np.sum(rows.real**2 + rows.imag**2, axis=0)
+    return SuperpositionRun(s=s, mode="qubit", q_bits=q_bits, pb_probs=acc / size)
+
+
+def _qubit_conditional_probs(run: SuperpositionRun, n0: int) -> np.ndarray:
+    """Unnormalized |amplitude(l, n0)|^2 column of a qubit run, streamed."""
+    assert run.mode == "qubit" and run.q_bits is not None
+    n = run.s.n
+    size = 1 << run.q_bits
+    if not (0 <= n0 < size):
+        raise ValueError(f"outcome {n0} outside register of size {size}")
+    msq = (np.arange(size, dtype=np.int64) ** 2) % n
+    roots = _phase_roots(n)
+    linear = np.exp(2j * np.pi * np.arange(size) * n0 / size) / size
+    out = np.empty(size)
+    for start, stop in _stream_blocks(run.q_bits):
+        ells = np.arange(start, stop, dtype=np.int64)
+        col = roots[(ells[:, None] * msq[None, :]) % n] @ linear
+        out[start:stop] = col.real**2 + col.imag**2
+    return out / size
+
+
+def conditional_after_peak(run: SuperpositionRun, n_peak: int) -> Distribution:
+    """A-register distribution of a qubit run after measuring a marginal peak.
+
+    n_peak must lie within half a bin of some multiple j * 2**Q / N; the
+    resulting distribution over l mirrors the exact-dimension conditional
+    at outcome j, up to the two-scale remainder distortion.
+    """
+    if run.mode != "qubit" or run.q_bits is None:
+        raise ValueError("operation requires a qubit-register run")
+    size = 1 << run.q_bits
+    n = run.s.n
+    j = round(n_peak * n / size)
+    if abs(n_peak - j * size / n) > 0.5 + 1e-12:
+        raise ValueError(
+            f"outcome {n_peak} is not within half a bin of any multiple of 2**Q/N"
+        )
+    weights = _qubit_conditional_probs(run, n_peak)
+    total = float(np.sum(weights))
+    if total <= 1e-12:
+        raise ValueError(f"outcome {n_peak} has (near-)zero marginal probability")
+    return Distribution(np.arange(size), weights / total)
+
+
+def p_b_closed_reference(s: Semiprime, n0: int) -> Fraction:
+    """Delta-comb closed form of the B marginal; reference only, known low.
+
+    This shortcut keeps only the enhanced contributions
+
+        n0 = 0:            (1/N) * [(N - p - q + 1)/N + 1]
+        gcd(n0, N) = p:    (1/N) * (p/N) * (q - 1)
+        gcd(n0, N) = q:    (1/N) * (q/N) * (p - 1)
+        otherwise:         0
+
+    and drops the rest of each column, so its values undercount the
+    brute-force marginal (163/8281 instead of 325/8281 at n0 = 0 for
+    N = 91) and do not sum to 1.  Every computation path in this package
+    uses the brute-force marginal; this function exists so the
+    discrepancy stays visible and tested.
+    """
+    n, p, q = s.n, s.p, s.q
+    d = gcd_conv(n0 % n, n)
+    if d == n:
+        return Fraction(n - p - q + 1, n * n) + Fraction(1, n)
+    if d == p:
+        return Fraction(p * (q - 1), n * n)
+    if d == q:
+        return Fraction(q * (p - 1), n * n)
+    return Fraction(0)
+
+
+def useful_mass_closed_reference(s: Semiprime) -> Fraction:
+    """Closed-form estimate of the total useful mass; reference only, known off.
+
+    2/(N p) + 2/p + 2p/N^2 + 2p/N - p^2/N^2 - 4/N - 1/N^2, the companion
+    expression to p_b_closed_reference.  It gives 3266/8281 (about 0.394)
+    for N = 91 where brute force gives 3097/8281 (about 0.374), and does
+    not even agree with summing p_b_closed_reference over the useful
+    outcomes (1639/8281).  Kept for documentation; never on a computation
+    path.
+    """
+    n, p = s.n, s.p
+    return (
+        Fraction(2, n * p)
+        + Fraction(2, p)
+        + Fraction(2 * p, n * n)
+        + Fraction(2 * p, n)
+        - Fraction(p * p, n * n)
+        - Fraction(4, n)
+        - Fraction(1, n * n)
+    )
+
+
+def _useful_gcd(value: int, n: int) -> int | None:
+    g = gcd_conv(value % n, n)
+    return g if 1 < g < n else None
+
+
+def sample_factor_driver(
+    n: int,
+    mode: str,
+    max_trials: int,
+    seed: int,
+    q_bits: int | None = None,
+    keep_records: bool = True,
+) -> DriverResult:
+    """Measure-B-then-maybe-A loop returning the first nontrivial gcd found.
+
+    Exact mode: a measured n0 sharing a divisor with N reveals it at once;
+    otherwise one A sample is taken from the conditional and its gcd
+    tested.  Qubit mode first maps the measured bin to j = round(n0*N/2**Q)
+    and tests gcd(j, N), since the marginal concentrates at bins j*2**Q/N.
+    """
+    if mode == "exact":
+        run = run_exact(n)
+        pb = marginal_b(run.state).probs
+    elif mode == "qubit":
+        if q_bits is None:
+            raise ValueError("qubit mode needs q_bits")
+        run = run_qubit(n, q_bits)
+        pb = run.pb_probs
+    else:
+        raise ValueError(f"unknown driver mode {mode!r}")
+    size = len(pb)
+    records = []
+    for t in range(max_trials):
+        rng = trial_rng(seed, t)
+        n0 = sample_outcome(pb, rng)
+        j = n0 if mode == "exact" else round(n0 * n / size) % n
+        factor = _useful_gcd(j, n)
+        ell = None
+        if factor is None:
+            if mode == "exact":
+                cond = conditional_a(run.state, n0).probs
+            else:
+                cond = _qubit_conditional_probs(run, n0)
+            ell = sample_outcome(cond, rng)
+            factor = _useful_gcd(ell, n)
+        rec = TrialRecord(t, n0, outcome_a=ell, factor=factor)
+        if keep_records:
+            records.append(rec)
+        if factor is not None:
+            return DriverResult(n, True, factor, t + 1, max_trials, seed, tuple(records))
+    return DriverResult(n, False, None, max_trials, max_trials, seed, tuple(records))
