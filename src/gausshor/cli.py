@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 driver exhausted its trial budget, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -189,7 +190,12 @@ def render_csv(cfg: RunConfig, sections: list[Section]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_JSON_SPECIAL = re.compile(r'["\\\x00-\x1f]')
+
+
 def _json_escape(s: str) -> str:
+    if not _JSON_SPECIAL.search(s):
+        return '"' + s + '"'
     out = []
     for ch in s:
         if ch in ('"', "\\"):

@@ -386,7 +386,6 @@ def factor_driver(
     seed: int,
     mode: str = "qft",
     allow_small_register: bool = False,
-    keep_records: bool = True,
 ) -> DriverResult:
     """Repeat trials until some trial reports a factor or the budget runs out."""
     s = factor_semiprime(n)
@@ -396,8 +395,7 @@ def factor_driver(
         rec = run_trial(
             s, q_bits, trial_rng(seed, t), t, mode, allow_small_register, cache
         )
-        if keep_records:
-            records.append(rec)
+        records.append(rec)
         if rec.factor is not None:
             return DriverResult(
                 n, True, rec.factor, t + 1, max_trials, seed, tuple(records)

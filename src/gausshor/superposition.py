@@ -8,9 +8,11 @@ exact zeros) mark the divisors of N.
 
 The exact run materializes the N x N grid.  The qubit variant works on
 two registers of size 2**Q > N**2 instead; its grid is never
-materialized: each A row's B amplitudes are one FFT of a quadratic-phase
-vector, and marginals are accumulated row block by row block in a fixed
-order, so results do not depend on how the work is scheduled.
+materialized.  Its amplitudes depend on the A index l only through the
+residue l mod N, so it computes N residue rows, each one FFT of a
+quadratic-phase vector, and weights each by the number of register rows
+that share its residue.  Residues are processed in fixed blocks, in
+ascending order, so results do not depend on how the work is scheduled.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .states import (
 from .trials import DriverResult, TrialRecord, trial_rng
 
 MAX_QUBIT_BITS = 20
-_BLOCK_ENTRIES = 1 << 20  # rows per streaming block are sized against this
+_BLOCK_ENTRIES = 1 << 20  # residue rows per block are sized against this
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ def run_exact(n: int) -> SuperpositionRun:
 
 
 def p_b_distribution(run: SuperpositionRun) -> Distribution:
-    """Marginal of the B register: exact brute force, or the streamed qubit marginal."""
+    """Marginal of the B register: exact brute force, or the residue-folded qubit marginal."""
     if run.mode == "exact":
         return marginal_b(_check_exact(run))
     assert run.pb_probs is not None
@@ -135,41 +137,43 @@ def _phase_roots(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def _stream_blocks(q_bits: int):
-    """Fixed partition of the 2**Q rows into equal-size blocks."""
-    size = 1 << q_bits
-    rows = max(1, _BLOCK_ENTRIES >> q_bits)
-    for start in range(0, size, rows):
-        yield start, min(start + rows, size)
+def _residue_blocks(n: int, size: int):
+    """Fixed partition of the N residues into blocks of about _BLOCK_ENTRIES entries."""
+    rows = max(1, _BLOCK_ENTRIES // size)
+    for start in range(0, n, rows):
+        yield np.arange(start, min(start + rows, n), dtype=np.int64)
 
 
 def run_qubit(n: int, q_bits: int) -> SuperpositionRun:
-    """Prepare the power-of-two variant and stream out its B marginal.
+    """Prepare the power-of-two variant and fold its B marginal over residues.
 
     Requires N**2 < 2**Q (so the Fourier peaks of the N-comb are uniquely
-    placed) and Q <= 20.  For each block of rows l, the B amplitudes
-    (1/M) sum_m exp[2*pi*i*(m^2 l / N + m n / M)] over all n are one
-    inverse FFT of the quadratic-phase vector; their squared moduli are
-    accumulated block by block in ascending order.
+    placed) and Q <= 20.  The B amplitudes (1/M) sum_m exp[2*pi*i*(m^2 l / N
+    + m n / M)] of row l are one inverse FFT and depend on l only through
+    r = l mod N, so each residue row is transformed once and its squared
+    moduli weighted by the (M - 1 - r)//N + 1 register rows with residue r.
     """
     s = factor_semiprime(n)
     if q_bits > MAX_QUBIT_BITS:
-        raise ValueError(f"register size 2**{q_bits} beyond streaming cap 2**{MAX_QUBIT_BITS}")
+        raise ValueError(f"register size 2**{q_bits} beyond register cap 2**{MAX_QUBIT_BITS}")
     size = 1 << q_bits
     if n * n >= size:
         raise ValueError(f"need n**2 < 2**q_bits, got {n}**2 >= 2**{q_bits}")
     msq = (np.arange(size, dtype=np.int64) ** 2) % n
     roots = _phase_roots(n)
+    counts = ((size - 1 - np.arange(n)) // n + 1).astype(np.float64)
     acc = np.zeros(size)
-    for start, stop in _stream_blocks(q_bits):
-        ells = np.arange(start, stop, dtype=np.int64)
-        rows = np.fft.ifft(roots[(ells[:, None] * msq[None, :]) % n], axis=1)
-        acc += np.sum(rows.real**2 + rows.imag**2, axis=0)
+    for r in _residue_blocks(n, size):
+        rows = np.fft.ifft(roots[(r[:, None] * msq[None, :]) % n], axis=1)
+        acc += counts[r] @ (rows.real**2 + rows.imag**2)
     return SuperpositionRun(s=s, mode="qubit", q_bits=q_bits, pb_probs=acc / size)
 
 
 def _qubit_conditional_probs(run: SuperpositionRun, n0: int) -> np.ndarray:
-    """Unnormalized |amplitude(l, n0)|^2 column of a qubit run, streamed."""
+    """Unnormalized |amplitude(l, n0)|^2 column of a qubit run.
+
+    Computed for the N residues l mod N, then repeated across the register.
+    """
     assert run.mode == "qubit" and run.q_bits is not None
     n = run.s.n
     size = 1 << run.q_bits
@@ -178,12 +182,11 @@ def _qubit_conditional_probs(run: SuperpositionRun, n0: int) -> np.ndarray:
     msq = (np.arange(size, dtype=np.int64) ** 2) % n
     roots = _phase_roots(n)
     linear = np.exp(2j * np.pi * np.arange(size) * n0 / size) / size
-    out = np.empty(size)
-    for start, stop in _stream_blocks(run.q_bits):
-        ells = np.arange(start, stop, dtype=np.int64)
-        col = roots[(ells[:, None] * msq[None, :]) % n] @ linear
-        out[start:stop] = col.real**2 + col.imag**2
-    return out / size
+    folded = np.empty(n)
+    for r in _residue_blocks(n, size):
+        col = roots[(r[:, None] * msq[None, :]) % n] @ linear
+        folded[r] = col.real**2 + col.imag**2
+    return folded[np.arange(size) % n] / size
 
 
 def conditional_after_peak(run: SuperpositionRun, n_peak: int) -> Distribution:
@@ -269,7 +272,6 @@ def sample_factor_driver(
     max_trials: int,
     seed: int,
     q_bits: int | None = None,
-    keep_records: bool = True,
 ) -> DriverResult:
     """Measure-B-then-maybe-A loop returning the first nontrivial gcd found.
 
@@ -303,9 +305,7 @@ def sample_factor_driver(
                 cond = _qubit_conditional_probs(run, n0)
             ell = sample_outcome(cond, rng)
             factor = _useful_gcd(ell, n)
-        rec = TrialRecord(t, n0, outcome_a=ell, factor=factor)
-        if keep_records:
-            records.append(rec)
+        records.append(TrialRecord(t, n0, outcome_a=ell, factor=factor))
         if factor is not None:
             return DriverResult(n, True, factor, t + 1, max_trials, seed, tuple(records))
     return DriverResult(n, False, None, max_trials, max_trials, seed, tuple(records))

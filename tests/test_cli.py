@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gausshor
-from gausshor.cli import main
+from gausshor.cli import _json_escape, main
 
 
 def run_main(*args, capsys=None):
@@ -332,3 +332,19 @@ def test_subprocess_matches_in_process(tmp_path, capsys):
     )
     assert cp.returncode == rc == 0
     assert cp.stdout == out
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("", '""'),
+        ("pb", '"pb"'),
+        ("n0=4 é\x7f", '"n0=4 é\x7f"'),
+        ('say "hi"', r'"say \"hi\""'),
+        ("a\\b", r'"a\\b"'),
+        ("tab\there\n", r'"tab\u0009here\u000a"'),
+    ],
+)
+def test_json_escape(text, expected):
+    assert _json_escape(text) == expected
+    assert json.loads(expected) == text

@@ -3,10 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gausshor.numtheory import NotSemiprimeError
-from gausshor.states import conditional_a, sample_outcome
+from gausshor.states import (
+    apply_quadratic_phase,
+    conditional_a,
+    marginal_b,
+    qft_b,
+    sample_outcome,
+    uniform_product,
+)
 from gausshor.superposition import (
+    _qubit_conditional_probs,
     conditional_after_peak,
     factor_mass_a,
     p_b_closed_reference,
@@ -133,7 +142,7 @@ def test_run_qubit_guards():
     with pytest.raises(ValueError):
         run_qubit(21, 8)  # 441 >= 256
     with pytest.raises(ValueError):
-        run_qubit(15, 21)  # beyond streaming cap
+        run_qubit(15, 21)  # beyond register cap
     with pytest.raises(NotSemiprimeError):
         run_qubit(9, 9)
 
@@ -146,6 +155,37 @@ def test_qubit_marginal_matches_dense_state():
     ).probs
     streamed = p_b_distribution(run_qubit(21, 9)).probs
     assert np.max(np.abs(dense - streamed)) < 1e-12
+
+
+_SMALL_SEMIPRIMES = [15, 21]  # the odd N = p*q, p < q primes, up to 31
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(_SMALL_SEMIPRIMES))
+def test_qubit_marginal_folded_matches_dense_property(n):
+    q_bits = (n * n).bit_length()  # smallest Q with n**2 < 2**Q
+    assert q_bits <= 10
+    size = 1 << q_bits
+    dense = marginal_b(
+        qft_b(apply_quadratic_phase(uniform_product(size, size), n))
+    ).probs
+    folded = run_qubit(n, q_bits).pb_probs
+    assert np.max(np.abs(dense - folded)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [15, 21])
+def test_qubit_conditional_fold_matches_two_scale_oracle(n):
+    q_bits = 9
+    size = 1 << q_bits
+    run = run_qubit(n, q_bits)
+    peak = (2 * 3 * size + n) // (2 * n)  # nearest bin to 3 * 2**Q / N
+    for n0 in (0, peak, peak + 5):
+        col = _qubit_conditional_probs(run, n0)
+        assert len(col) == size
+        # rows l >= N come from the residue fold, not from their own sum
+        for ell in range(2 * n):
+            expected = abs(oracles.two_scale_direct(n0, ell, n, size)) ** 2 / size
+            assert abs(col[ell] - expected) < 1e-12
 
 
 def test_qubit_marginal_peaks():
@@ -223,6 +263,16 @@ def test_sample_factor_driver_qubit():
         sample_factor_driver(15, "qubit", 10, 1)  # q_bits missing
     with pytest.raises(ValueError):
         sample_factor_driver(15, "bogus", 10, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_sample_factor_driver_qubit_at_91(seed):
+    # seeds 0 and 4 measure n0 = 0 and so sample A from the conditional column
+    res = sample_factor_driver(91, "qubit", 50, seed, q_bits=14)
+    assert res.succeeded and res.factor in (7, 13)
+    assert 1 <= res.trials_run <= res.max_trials == 50
+    assert len(res.records) == res.trials_run
+    assert all(r.factor in (None, 7, 13) for r in res.records)
 
 
 def test_driver_useful_outcome_frequency(run91):
