@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 driver exhausted its trial budget, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ import numpy as np
 from . import shor_gauss, superposition
 from .kernels import eval_G, eval_truncated, eval_W, g_of
 from .numtheory import NotSemiprimeError, Semiprime, factor_semiprime, gcd_conv
-from .states import Distribution, purity_a, purity_closed
+from .states import AmplitudeCapError, Distribution, purity_a, purity_closed
 
 SCHEMA_VERSION = 1
 
@@ -413,7 +414,10 @@ def cmd_shor_gauss(cfg: RunConfig) -> int:
     ]
     if cfg.branch:
         label = _parse_branch(cfg.branch, s)
-        dist = shor_gauss.qft_distribution(s, q_bits, label, allow)
+        try:
+            dist = shor_gauss.qft_distribution(s, q_bits, label, allow)
+        except AmplitudeCapError as exc:
+            raise InputError(str(exc)) from exc
         periods = {s.n: [s.n], s.p: [s.p], s.q: [s.q], 1: [s.p, s.q]}[label]
         sections.append(
             _distribution_section(
@@ -442,9 +446,12 @@ def cmd_shor_gauss(cfg: RunConfig) -> int:
             )
     result = None
     if cfg.trials > 0:
-        result = shor_gauss.factor_driver(
-            n, q_bits, cfg.trials, cfg.seed, allow_small_register=allow
-        )
+        try:
+            result = shor_gauss.factor_driver(
+                n, q_bits, cfg.trials, cfg.seed, allow_small_register=allow
+            )
+        except AmplitudeCapError as exc:
+            raise InputError(str(exc)) from exc
         sections.extend(_driver_sections(result))
     emit(cfg, sections)
     return _driver_summary_line(cfg, result) if result is not None else 0
@@ -619,6 +626,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gausshor",
@@ -679,8 +687,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         cfg = merge_config(ns)
         return _COMMANDS[ns.command](cfg)

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .states import (
     Distribution,
     check_amplitude_cap,
     qft_vector,
-    sample_outcome,
+    sample_cdf,
 )
 from .trials import DriverResult, TrialRecord, trial_rng
 
@@ -167,20 +168,17 @@ def post_state(
     coprime to N for label 1.
     """
     _check_register(s, q_bits, allow_small_register)
-    size = 1 << q_bits
-    ell = np.arange(size, dtype=np.int64)
-    if label == s.n:
-        comb = (ell % s.n == 0).astype(np.float64)
-    elif label in (s.p, s.q):
-        comb = (ell % label == 0).astype(np.float64)
-        comb -= (ell % s.n == 0).astype(np.float64)
-    elif label == 1:
-        comb = np.ones(size)
-        comb -= ell % s.p == 0
-        comb -= ell % s.q == 0
-        comb += ell % s.n == 0
-    else:
+    if label not in b_labels(s):
         raise ValueError(f"label {label} is not one of {b_labels(s)}")
+    size = 1 << q_bits
+    check_amplitude_cap(size)
+    if label == 1:
+        comb = np.ones(size)
+        comb[:: s.p] = comb[:: s.q] = 0.0
+    else:
+        comb = np.zeros(size)
+        comb[::label] = 1.0
+        comb[:: s.n] = label == s.n  # a factor comb drops the multiples of N
     support = int(np.sum(comb))
     return comb.astype(np.complex128) / math.sqrt(support)
 
@@ -304,33 +302,28 @@ def recover_divisor(m: int, q_bits: int, n: int) -> DivisorCandidate:
     return DivisorCandidate(denominator=d, gcd_with_n=gcd_conv(d, n))
 
 
-class _DriverCache:
-    """Per-(N, Q) tables shared across trials: branch CDF and unit-branch QFT CDF."""
+@lru_cache(maxsize=4)
+def _branch_table(s: Semiprime, q_bits: int) -> tuple[tuple[BranchOutcome, ...], np.ndarray]:
+    """The four branches of a validated (N, Q) and the read-only CDF of their masses."""
+    branches = tuple(branch_probs(s, q_bits, allow_small_register=True))
+    cdf = np.cumsum([float(b.probability) for b in branches])
+    cdf.setflags(write=False)
+    return branches, cdf
 
-    def __init__(self, s: Semiprime, q_bits: int, allow_small_register: bool):
-        self.s = s
-        self.q_bits = q_bits
-        self.allow_small_register = allow_small_register
-        self.branches = branch_probs(s, q_bits, allow_small_register)
-        self.branch_probs_float = np.array(
-            [float(b.probability) for b in self.branches]
-        )
-        self._unit_probs: np.ndarray | None = None
-        self._factor_posts: dict[int, np.ndarray] = {}
 
-    def unit_qft_probs(self) -> np.ndarray:
-        if self._unit_probs is None:
-            vec = qft_vector(
-                post_state(self.s, self.q_bits, 1, self.allow_small_register)
-            )
-            self._unit_probs = vec.real**2 + vec.imag**2
-        return self._unit_probs
+@lru_cache(maxsize=4)
+def _comb_cdf(s: Semiprime, q_bits: int, label: int, fourier: bool) -> np.ndarray:
+    """Read-only CDF of |QFT(post state)|^2 if fourier, else of |post state|^2.
 
-    def factor_post_probs(self, label: int) -> np.ndarray:
-        if label not in self._factor_posts:
-            vec = post_state(self.s, self.q_bits, label, self.allow_small_register)
-            self._factor_posts[label] = vec.real**2 + vec.imag**2
-        return self._factor_posts[label]
+    Callers check the register and the amplitude cap before each lookup;
+    at most four tables of 2**Q floats stay alive, 8 MiB each at Q = 20.
+    """
+    vec = post_state(s, q_bits, label, allow_small_register=True)
+    if fourier:
+        vec = qft_vector(vec)
+    cdf = np.cumsum(vec.real**2 + vec.imag**2)
+    cdf.setflags(write=False)
+    return cdf
 
 
 def run_trial(
@@ -340,7 +333,6 @@ def run_trial(
     trial_index: int = 0,
     mode: str = "qft",
     allow_small_register: bool = False,
-    cache: _DriverCache | None = None,
 ) -> TrialRecord:
     """One measurement round.
 
@@ -349,15 +341,19 @@ def run_trial(
     the comb period without any Fourier step.  Label N is a retry.  Label 1
     Fourier-transforms the coprime comb, samples one bin, and attempts
     rational reconstruction (rarely useful, but exercised).
+
+    The branch and comb CDFs are built once per (N, Q) per process and
+    shared by every later trial; the register and cap are checked first.
     """
     if mode not in ("qft", "direct-read"):
         raise ValueError(f"unknown trial mode {mode!r}")
-    if cache is None:
-        cache = _DriverCache(s, q_bits, allow_small_register)
-    branch = cache.branches[sample_outcome(cache.branch_probs_float, rng)]
+    _check_register(s, q_bits, allow_small_register)
+    check_amplitude_cap(1 << q_bits)
+    branches, branch_cdf = _branch_table(s, q_bits)
+    branch = branches[sample_cdf(branch_cdf, rng)]
     if branch.kind is BranchKind.CASE_FACTOR:
         if mode == "direct-read":
-            ell = sample_outcome(cache.factor_post_probs(branch.label), rng)
+            ell = sample_cdf(_comb_cdf(s, q_bits, branch.label, False), rng)
             g = gcd_conv(ell % s.n, s.n)
             factor = g if 1 < g < s.n else None
             return TrialRecord(trial_index, branch.label, outcome_a=ell, factor=factor)
@@ -365,7 +361,7 @@ def run_trial(
     if branch.kind is BranchKind.CASE_N:
         return TrialRecord(trial_index, branch.label)
     # unit branch: QFT, sample, reconstruct
-    m = sample_outcome(cache.unit_qft_probs(), rng)
+    m = sample_cdf(_comb_cdf(s, q_bits, 1, True), rng)
     if m == 0:
         return TrialRecord(trial_index, branch.label, outcome_a=0)
     cand = recover_divisor(m, q_bits, s.n)
@@ -387,14 +383,17 @@ def factor_driver(
     mode: str = "qft",
     allow_small_register: bool = False,
 ) -> DriverResult:
-    """Repeat trials until some trial reports a factor or the budget runs out."""
+    """Repeat trials until some trial reports a factor or the budget runs out.
+
+    Checks the register and cap even for max_trials = 0; trials share the
+    per-process (N, Q) tables of run_trial, so a repeat call builds none.
+    """
     s = factor_semiprime(n)
-    cache = _DriverCache(s, q_bits, allow_small_register)
+    _check_register(s, q_bits, allow_small_register)
+    check_amplitude_cap(1 << q_bits)
     records = []
     for t in range(max_trials):
-        rec = run_trial(
-            s, q_bits, trial_rng(seed, t), t, mode, allow_small_register, cache
-        )
+        rec = run_trial(s, q_bits, trial_rng(seed, t), t, mode, allow_small_register)
         records.append(rec)
         if rec.factor is not None:
             return DriverResult(

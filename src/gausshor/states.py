@@ -195,11 +195,15 @@ def collapse_b(state: BipartiteState, n0: int) -> CollapseResult:
     return CollapseResult(n0, col / norm)
 
 
-def sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from a probability vector; zero-mass bins are unreachable."""
-    cdf = np.cumsum(probs)
+def sample_cdf(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw from a cumulative mass vector; zero-mass bins are unreachable."""
     u = rng.random() * cdf[-1]
     return int(np.searchsorted(cdf, u, side="right"))
+
+
+def sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw from a probability vector, via sample_cdf."""
+    return sample_cdf(np.cumsum(probs), rng)
 
 
 def measure_b(state: BipartiteState, rng: np.random.Generator) -> CollapseResult:

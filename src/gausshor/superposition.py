@@ -29,11 +29,11 @@ from .states import (
     BipartiteState,
     Distribution,
     StateIntegrityError,
-    amplitude_cap,
     apply_quadratic_phase,
     conditional_a,
     marginal_b,
     qft_b,
+    sample_cdf,
     sample_outcome,
     uniform_product,
 )
@@ -282,19 +282,19 @@ def sample_factor_driver(
     """
     if mode == "exact":
         run = run_exact(n)
-        pb = marginal_b(run.state).probs
+        pb_cdf = np.cumsum(marginal_b(run.state).probs)
     elif mode == "qubit":
         if q_bits is None:
             raise ValueError("qubit mode needs q_bits")
         run = run_qubit(n, q_bits)
-        pb = run.pb_probs
+        pb_cdf = np.cumsum(run.pb_probs)
     else:
         raise ValueError(f"unknown driver mode {mode!r}")
-    size = len(pb)
+    size = len(pb_cdf)
     records = []
     for t in range(max_trials):
         rng = trial_rng(seed, t)
-        n0 = sample_outcome(pb, rng)
+        n0 = sample_cdf(pb_cdf, rng)
         j = n0 if mode == "exact" else round(n0 * n / size) % n
         factor = _useful_gcd(j, n)
         ell = None

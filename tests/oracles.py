@@ -100,3 +100,18 @@ def qubit_comb_mass_direct(n: int, q_bits: int) -> float:
             )
             total += counts[ell] * abs(amp / size) ** 2
     return total / size
+
+
+def comb_post_state_direct(n: int, q_bits: int, label: int) -> list[float]:
+    """A amplitudes left after reading divisor signal `label` = gcd(l, N) off B.
+
+    Support is every l < 2**Q with math.gcd(l, N) == label (gcd(0, N) = N),
+    each at amplitude 1/sqrt(support size).
+    """
+    size = 1 << q_bits
+    support = [ell for ell in range(size) if math.gcd(ell, n) == label]
+    amp = 1 / math.sqrt(len(support))
+    vec = [0.0] * size
+    for ell in support:
+        vec[ell] = amp
+    return vec

@@ -261,6 +261,18 @@ def test_memory_cap_env_respected(monkeypatch, capsys):
     assert "cap" in err
 
 
+def test_shor_gauss_respects_amplitude_cap(monkeypatch, capsys):
+    args = ("shor-gauss", "--n", "35", "--q", "11")
+    assert run_main(*args, "--trials", "2", capsys=capsys)[0] == 0  # warms the tables
+    monkeypatch.setenv("GAUSSHOR_MEM_CAP", "1000")
+    for extra in (("--trials", "2"), ("--branch", "unit")):
+        rc, out, err = run_main(*args, *extra, capsys=capsys)
+        assert rc == 2 and out == ""
+        assert err == "error: state with 2048 amplitudes exceeds cap 1000\n"
+    rc, out, _ = run_main(*args, capsys=capsys)  # branch table only: nothing allocated
+    assert rc == 0 and "# section=branch_probs" in out
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.conf"
     cfg.write_text(

@@ -8,6 +8,8 @@ from gausshor.kernels import eval_F_closed
 from gausshor.numtheory import count_upper, factor_semiprime
 from gausshor.shor_gauss import (
     BranchKind,
+    _branch_table,
+    _comb_cdf,
     analyze_peaks,
     b_labels,
     branch_probs,
@@ -21,8 +23,10 @@ from gausshor.shor_gauss import (
     recover_divisor,
     run_trial,
 )
-from gausshor.states import sample_outcome
-from gausshor.trials import trial_rng
+from gausshor.states import AmplitudeCapError, qft_vector, sample_outcome
+from gausshor.trials import DriverResult, TrialRecord, trial_rng
+
+import oracles
 
 S91 = factor_semiprime(91)
 S15 = factor_semiprime(15)
@@ -100,6 +104,17 @@ def test_post_state_supports():
 
     with pytest.raises(ValueError):
         post_state(S91, 14, 5)
+
+
+@pytest.mark.parametrize(
+    "n, q_bits, allow", [(15, 8, False), (35, 11, False), (91, 14, False), (91, 11, True)]
+)
+def test_post_state_matches_gcd_oracle(n, q_bits, allow):
+    s = factor_semiprime(n)
+    for label in b_labels(s):
+        vec = post_state(s, q_bits, label, allow_small_register=allow)
+        expected = oracles.comb_post_state_direct(n, q_bits, label)
+        assert vec.tolist() == [complex(a) for a in expected], label
 
 
 def test_qft_of_factor_post_state_matches_comb_sums():
@@ -228,7 +243,6 @@ def test_empirical_branch_frequencies():
 
 
 def test_run_trial_branches():
-    cache = None
     seen = set()
     for t in range(200):
         rec = run_trial(S91, 14, trial_rng(4, t), t)
@@ -278,3 +292,65 @@ def test_unit_branch_reconstruction_rarely_helps():
     unit = [r for r in records if r.outcome_b == 1]
     assert unit, "expected unit-branch trials"
     assert sum(1 for r in unit if r.factor is not None) <= len(unit) // 2
+
+
+def _uncached_driver(n, q_bits, max_trials, seed, mode):
+    """factor_driver with every draw taken by sample_outcome on freshly built probabilities."""
+    s = factor_semiprime(n)
+    branches = branch_probs(s, q_bits)
+    branch_p = np.array([float(b.probability) for b in branches])
+    records = []
+    for t in range(max_trials):
+        rng = trial_rng(seed, t)
+        label = branches[sample_outcome(branch_p, rng)].label
+        rec = TrialRecord(t, label)
+        if label in (s.p, s.q) and mode == "qft":
+            rec = TrialRecord(t, label, factor=label)
+        elif label in (s.p, s.q):
+            vec = post_state(s, q_bits, label)
+            ell = sample_outcome(vec.real**2 + vec.imag**2, rng)
+            g = math.gcd(ell, n)
+            rec = TrialRecord(t, label, outcome_a=ell, factor=g if 1 < g < n else None)
+        elif label == 1:
+            vec = qft_vector(post_state(s, q_bits, 1))
+            m = sample_outcome(vec.real**2 + vec.imag**2, rng)
+            rec = TrialRecord(t, label, outcome_a=m)
+            if m:
+                cand = recover_divisor(m, q_bits, n)
+                g = cand.gcd_with_n
+                rec = TrialRecord(t, label, m, cand.denominator, g if 1 < g < n else None)
+        records.append(rec)
+        if rec.factor is not None:
+            return DriverResult(n, True, rec.factor, t + 1, max_trials, seed, tuple(records))
+    return DriverResult(n, False, None, max_trials, max_trials, seed, tuple(records))
+
+
+@pytest.mark.parametrize("n, q_bits", [(35, 11), (91, 14)])
+@pytest.mark.parametrize("mode", ["qft", "direct-read"])
+def test_cached_tables_change_no_record(n, q_bits, mode):
+    for seed in range(20):
+        _branch_table.cache_clear()
+        _comb_cdf.cache_clear()
+        cold = factor_driver(n, q_bits, 30, seed, mode)
+        warm = factor_driver(n, q_bits, 30, seed, mode)
+        assert cold == warm == _uncached_driver(n, q_bits, 30, seed, mode), seed
+
+
+def test_cached_tables_are_read_only():
+    factor_driver(91, 14, 30, 0, "direct-read")
+    branches, cdf = _branch_table(S91, 14)
+    assert isinstance(branches, tuple) and not cdf.flags.writeable
+    for label, fourier in ((1, True), (7, False), (13, False)):
+        assert not _comb_cdf(S91, 14, label, fourier).flags.writeable
+    with pytest.raises(ValueError):
+        factor_driver(91, 5, 0, 1)  # 2**5 <= 91**2, even with no trial to run
+
+
+def test_lower_cap_applies_to_warm_tables(monkeypatch):
+    s = factor_semiprime(35)
+    factor_driver(35, 11, 30, 0)  # builds the (35, 11) tables
+    monkeypatch.setenv("GAUSSHOR_MEM_CAP", "1000")
+    with pytest.raises(AmplitudeCapError):
+        run_trial(s, 11, trial_rng(0, 0))
+    with pytest.raises(AmplitudeCapError):
+        factor_driver(35, 11, 0, 0)

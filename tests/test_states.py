@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from gausshor.kernels import eval_W
 from gausshor.numtheory import factor_semiprime
@@ -23,6 +24,8 @@ from gausshor.states import (
     qft_b,
     qft_vector,
     qft_vector_inverse,
+    sample_cdf,
+    sample_outcome,
     uniform_product,
 )
 from gausshor.trials import trial_rng
@@ -228,3 +231,17 @@ def test_states_are_immutable():
     st = uniform_product(3, 3)
     with pytest.raises(ValueError):
         st.amps[0, 0] = 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hst.lists(hst.sampled_from([0.0, 1e-12, 0.25, 1.0]), min_size=2, max_size=30)
+    .filter(lambda w: 0.0 in w and any(w)),
+    hst.integers(0, 2**64 - 1),
+    hst.integers(0, 2**20),
+)
+def test_sample_cdf_skips_zero_mass_bins_property(weights, seed, trial):
+    p = np.array(weights) / sum(weights)
+    k = sample_outcome(p, trial_rng(seed, trial))
+    assert k == sample_cdf(np.cumsum(p), trial_rng(seed, trial))
+    assert 0 <= k < len(p) and p[k] > 0.0
