@@ -4,6 +4,8 @@ Subcommands: gauss-table, shor-gauss, superposition, purity, sweep.  Output
 is CSV (schema comment header) or JSON carrying identical numeric content;
 floats are rendered with 17 significant digits in both, so files re-parse
 to the same doubles and repeated runs with one seed are byte-identical.
+Both formats render each section column by column through one cell
+formatter, which formats each distinct value of a column once.
 
 Exit codes: 0 success, 1 driver exhausted its trial budget, 2 invalid input.
 """
@@ -21,8 +23,8 @@ import numpy as np
 
 from . import shor_gauss, superposition
 from .kernels import eval_G, eval_truncated, eval_W, g_of
-from .numtheory import NotSemiprimeError, Semiprime, factor_semiprime, gcd_conv
-from .states import AmplitudeCapError, Distribution, purity_a, purity_closed
+from .numtheory import NotSemiprimeError, Semiprime, factor_semiprime
+from .states import AmplitudeCapError, Distribution, conditional_a, purity_a, purity_closed
 
 SCHEMA_VERSION = 1
 
@@ -159,20 +161,10 @@ def _reduce_even(n: int) -> int:
 # output rendering
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if v is None:
-        return ""
-    return str(v)
-
-
 @dataclass
 class Section:
+    """One table of the report; every row has one value per header column."""
+
     name: str
     attrs: list[tuple[str, str]] = field(default_factory=list)
     header: tuple[str, ...] = ()
@@ -186,79 +178,84 @@ def render_csv(cfg: RunConfig, sections: list[Section]) -> str:
         attrs = "".join(f" {k}={v}" for k, v in sec.attrs)
         lines.append(f"# section={sec.name}{attrs}")
         lines.append(",".join(sec.header))
-        for row in sec.rows:
-            lines.append(",".join(_fmt_value(v) for v in row))
+        lines.extend(map(",".join, zip(*_columns(sec, json=False))))
     return "\n".join(lines) + "\n"
 
 
 _JSON_SPECIAL = re.compile(r'["\\\x00-\x1f]')
 
 
+def _escape_char(match: re.Match) -> str:
+    ch = match.group()
+    return "\\" + ch if ch in '"\\' else f"\\u{ord(ch):04x}"
+
+
 def _json_escape(s: str) -> str:
-    if not _JSON_SPECIAL.search(s):
-        return '"' + s + '"'
-    out = []
-    for ch in s:
-        if ch in ('"', "\\"):
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
+    return '"' + _JSON_SPECIAL.sub(_escape_char, s) + '"'
 
 
-def _json_value(v) -> str:
-    # floats go through the same .17g path as CSV so both formats carry
-    # identical numeric content
+def _format_cell(v, json: bool) -> str:
+    # floats go through one .17g path in both formats, so CSV and JSON
+    # carry identical numeric content
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         return format(float(v), ".17g")
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, Fraction):
-        return _json_escape(f"{v.numerator}/{v.denominator}")
     if v is None:
-        return "null"
-    return _json_escape(str(v))
+        return "null" if json else ""
+    text = f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else str(v)
+    return _json_escape(text) if json else text
+
+
+def _format_column(values, json: bool, prefix: str = "") -> list[str]:
+    """prefix + the text of each cell of one column, each distinct value formatted once.
+
+    The memo is keyed on type and value, and zeros also on their text, so
+    0.0 and -0.0, True and 1, and 1 and 1.0 each keep their own text.  A
+    column of plain ints (register labels, all distinct) skips the memo.
+    """
+    if set(map(type, values)) == {int}:
+        return [prefix + text for text in map(str, values)]
+    memo: dict = {}
+    out = []
+    for v in values:
+        key = (type(v), v, str(v) if v == 0 else None)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = prefix + _format_cell(v, json)
+        out.append(text)
+    return out
+
+
+def _columns(sec: Section, json: bool) -> list[list[str]]:
+    """The section's cells column by column; a JSON cell leads with its escaped key."""
+    return [
+        _format_column(col, json, f"{_json_escape(key)}: " if json else "")
+        for key, col in zip(sec.header, zip(*sec.rows))
+    ]
+
+
+def _json_pairs(items) -> str:
+    return ", ".join(f"{_json_escape(k)}: {_json_escape(v)}" for k, v in items)
 
 
 def render_json(cfg: RunConfig, sections: list[Section]) -> str:
-    parts = [f'"schema": {SCHEMA_VERSION}']
-    cfg_body = ", ".join(
-        f"{_json_escape(k)}: {_json_escape(v)}" for k, v in cfg.echo_items()
-    )
-    parts.append(f'"config": {{{cfg_body}}}')
     sec_texts = []
     for sec in sections:
-        attrs = ", ".join(
-            f"{_json_escape(k)}: {_json_escape(v)}" for k, v in sec.attrs
-        )
-        rows = ", ".join(
-            "{"
-            + ", ".join(
-                f"{_json_escape(col)}: {_json_value(val)}"
-                for col, val in zip(sec.header, row)
-            )
-            + "}"
-            for row in sec.rows
-        )
-        body = f'"name": {_json_escape(sec.name)}'
-        if attrs:
-            body += f', "attrs": {{{attrs}}}'
-        body += f', "rows": [{rows}]'
-        sec_texts.append("{" + body + "}")
-    parts.append(f'"sections": [{", ".join(sec_texts)}]')
-    return "{" + ", ".join(parts) + "}\n"
+        attrs = f', "attrs": {{{_json_pairs(sec.attrs)}}}' if sec.attrs else ""
+        rows = "}, {".join(map(", ".join, zip(*_columns(sec, json=True))))
+        rows = "{" + rows + "}" if rows else ""
+        sec_texts.append(f'{{"name": {_json_escape(sec.name)}{attrs}, "rows": [{rows}]}}')
+    return (
+        f'{{"schema": {SCHEMA_VERSION}, "config": {{{_json_pairs(cfg.echo_items())}}}, '
+        f'"sections": [{", ".join(sec_texts)}]}}\n'
+    )
 
 
 def emit(cfg: RunConfig, sections: list[Section]) -> None:
-    text = (
-        render_csv(cfg, sections)
-        if cfg.format == "csv"
-        else render_json(cfg, sections)
-    )
+    text = (render_csv if cfg.format == "csv" else render_json)(cfg, sections)
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -267,16 +264,24 @@ def emit(cfg: RunConfig, sections: list[Section]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# annotations shared by table emitters
+# annotations shared by table emitters: an annotator maps a column of
+# integer labels to one note per label
 
 
-def _divisor_annotation(ell: int, n: int) -> str:
-    g = gcd_conv(ell % n, n)
-    if g == n:
-        return "multiple-of-N"
-    if g > 1:
-        return "factor-multiple"
-    return ""
+def _gcd_notes(n: int, notes: dict[int, str], default: str = ""):
+    """Annotator: the note of gcd(label mod n, n) for each label, or default."""
+    return lambda labels: [
+        notes.get(g, default) for g in np.gcd(np.asarray(labels) % n, n).tolist()
+    ]
+
+
+def _divisor_notes(n: int):
+    return _gcd_notes(n, {1: "", n: "multiple-of-N"}, "factor-multiple")
+
+
+def _label_notes(notes: dict[int, str]):
+    """Annotator: the note of each label, or none."""
+    return lambda labels: [notes.get(label, "") for label in labels.tolist()]
 
 
 def _distribution_section(
@@ -285,11 +290,10 @@ def _distribution_section(
     annotate,
     attrs: list[tuple[str, str]] | None = None,
 ) -> Section:
-    sec = Section(name, attrs or [], ("label", "probability", "annotation"))
-    for label, prob in zip(dist.labels.tolist(), dist.probs.tolist()):
-        if prob > 0.0:
-            sec.rows.append((label, prob, annotate(label)))
-    return sec
+    keep = dist.probs > 0.0
+    labels = dist.labels[keep]
+    rows = list(zip(labels.tolist(), dist.probs[keep].tolist(), annotate(labels)))
+    return Section(name, attrs or [], ("label", "probability", "annotation"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +312,7 @@ def cmd_gauss_table(cfg: RunConfig) -> int:
         ells = range(0, n) if cfg.ell is None else [cfg.ell]
     else:
         ells = range(1, n + 1) if cfg.ell is None else [cfg.ell]
-    sec = Section("table", [("kind", kind)], ("label", "value", "annotation"))
+    values = []
     try:
         for ell in ells:
             if kind == "g":
@@ -319,10 +323,11 @@ def cmd_gauss_table(cfg: RunConfig) -> int:
                 value = abs(eval_W(cfg.n0 or 0, ell, n)) ** 2
             else:
                 value = abs(eval_truncated(ell, n, terms))
-            sec.rows.append((ell, value, _divisor_annotation(ell, n)))
+            values.append(value)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    emit(cfg, [sec])
+    rows = list(zip(ells, values, _divisor_notes(n)(ells)))
+    emit(cfg, [Section("table", [("kind", kind)], ("label", "value", "annotation"), rows)])
     return 0
 
 
@@ -350,30 +355,22 @@ def _annotate_bins(s: Semiprime, q_bits: int, periods: list[int]):
         for j in range(1, period):
             pos = (2 * j * size + period) // (2 * period)
             notes[pos] = f"peak period={period} j={j}"
-    return lambda label: notes.get(label, "")
+    return _label_notes(notes)
+
+
+def _field_section(name: str, obj, fields: str, attrs=None) -> Section:
+    """A field,value section holding the named attributes of obj."""
+    rows = [(f, getattr(obj, f)) for f in fields.split()]
+    return Section(name, attrs or [], ("field", "value"), rows)
 
 
 def _driver_sections(result) -> list[Section]:
-    summary = Section(
-        "driver",
-        header=("field", "value"),
-        rows=[
-            ("n", result.n),
-            ("succeeded", result.succeeded),
-            ("factor", result.factor),
-            ("trials_run", result.trials_run),
-            ("max_trials", result.max_trials),
-            ("seed", result.seed),
-        ],
-    )
-    trials = Section(
-        "trials", header=("trial", "outcome_b", "outcome_a", "candidate", "factor")
-    )
-    for rec in result.records:
-        trials.rows.append(
-            (rec.index, rec.outcome_b, rec.outcome_a, rec.candidate, rec.factor)
-        )
-    return [summary, trials]
+    header = ("trial", "outcome_b", "outcome_a", "candidate", "factor")
+    trials = [(r.index, r.outcome_b, r.outcome_a, r.candidate, r.factor) for r in result.records]
+    return [
+        _field_section("driver", result, "n succeeded factor trials_run max_trials seed"),
+        Section("trials", header=header, rows=trials),
+    ]
 
 
 def _driver_summary_line(cfg: RunConfig, result) -> int:
@@ -398,20 +395,12 @@ def cmd_shor_gauss(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
-    sections = [
-        Section(
-            "branch_probs",
-            header=("label", "probability", "annotation"),
-            rows=[
-                (
-                    b.label,
-                    float(b.probability),
-                    f"case-{b.kind.value} exact={_over_denominator(b.probability, 1 << q_bits)}",
-                )
-                for b in branches
-            ],
-        )
+    rows = [
+        (b.label, float(b.probability),
+         f"case-{b.kind.value} exact={_over_denominator(b.probability, 1 << q_bits)}")
+        for b in branches
     ]
+    sections = [Section("branch_probs", header=("label", "probability", "annotation"), rows=rows)]
     if cfg.branch:
         label = _parse_branch(cfg.branch, s)
         try:
@@ -427,23 +416,12 @@ def cmd_shor_gauss(cfg: RunConfig) -> int:
                 [("branch", str(label))],
             )
         )
+        fields = "period positions mass dc_mass max_on_peak max_off_structure"
         for period in periods:
             rep = shor_gauss.analyze_peaks(dist, period, q_bits, modulus=s.n)
-            sections.append(
-                Section(
-                    "peak_report",
-                    [("period", str(period))],
-                    ("field", "value"),
-                    [
-                        ("period", rep.period),
-                        ("positions", " ".join(map(str, rep.positions))),
-                        ("mass", rep.mass),
-                        ("dc_mass", rep.dc_mass),
-                        ("max_on_peak", rep.max_on_peak),
-                        ("max_off_structure", rep.max_off_structure),
-                    ],
-                )
-            )
+            sec = _field_section("peak_report", rep, fields, [("period", str(period))])
+            sec.rows[1] = ("positions", " ".join(map(str, rep.positions)))  # one cell
+            sections.append(sec)
     result = None
     if cfg.trials > 0:
         try:
@@ -455,6 +433,19 @@ def cmd_shor_gauss(cfg: RunConfig) -> int:
         sections.extend(_driver_sections(result))
     emit(cfg, sections)
     return _driver_summary_line(cfg, result) if result is not None else 0
+
+
+def _purity_report(run, *lead_rows) -> tuple[Section, str]:
+    """The purity section of an exact run, and its one-line summary."""
+    measured = purity_a(run.state)
+    closed = purity_closed(run.s)
+    closed_text = _over_denominator(closed, run.n * run.n)
+    rows = [*lead_rows, ("measured", measured), ("closed", closed_text),
+            ("closed_float", float(closed))]
+    return (
+        Section("purity", header=("field", "value"), rows=rows),
+        f"purity={format(measured, '.17g')} closed={closed_text}",
+    )
 
 
 def cmd_superposition(cfg: RunConfig) -> int:
@@ -483,29 +474,18 @@ def cmd_superposition(cfg: RunConfig) -> int:
     sections = []
     if report in ("all", "pb"):
         dist = superposition.p_b_distribution(run)
-        if mode == "exact":
-            def annotate(label, _s=s):
-                g = gcd_conv(label % _s.n, _s.n)
-                if label == 0:
-                    return "useful n0=0"
-                if g in (_s.p, _s.q):
-                    return f"useful gcd={g}"
-                return ""
+        if mode == "exact":  # labels are 0 .. N-1, so gcd N means label 0
+            notes = {n: "useful n0=0", s.p: f"useful gcd={s.p}", s.q: f"useful gcd={s.q}"}
+            annotate = _gcd_notes(n, notes)
         else:
             size = 1 << run.q_bits
-            peaks = {
-                (2 * j * size + s.n) // (2 * s.n): j for j in range(1, s.n)
-            }
-            peaks[0] = 0
-            annotate = lambda label: (
-                f"peak j={peaks[label]}" if label in peaks else ""
+            annotate = _label_notes(
+                {(2 * j * size + n) // (2 * n): f"peak j={j}" for j in range(n)}
             )
         sections.append(_distribution_section("pb", dist, annotate))
     if cfg.n0 is not None and report in ("all", "conditional"):
         try:
             if mode == "exact":
-                from .states import conditional_a
-
                 cond = conditional_a(run.state, cfg.n0)
             else:
                 cond = superposition.conditional_after_peak(run, cfg.n0)
@@ -515,44 +495,22 @@ def cmd_superposition(cfg: RunConfig) -> int:
             _distribution_section(
                 "conditional",
                 cond,
-                lambda label: _divisor_annotation(label, s.n),
+                _divisor_notes(n),
                 [("n0", str(cfg.n0))],
             )
         )
     if mode == "exact" and report in ("all", "success"):
         sm = superposition.success_mass(run)
-        sections.append(
-            Section(
-                "success_mass",
-                header=("field", "value"),
-                rows=[
-                    ("p_b_zero", sm.p_b_zero),
-                    ("p_b_factor_multiple", sm.p_b_factor_multiple),
-                    ("p_b_coprime", sm.p_b_coprime),
-                    ("total_useful", sm.total_useful),
-                ],
-            )
-        )
+        fields = "p_b_zero p_b_factor_multiple p_b_coprime total_useful"
+        sections.append(_field_section("success_mass", sm, fields))
     purity_line = None
     if mode == "exact" and report in ("all", "purity"):
-        measured = purity_a(run.state)
-        closed = purity_closed(s)
-        sections.append(
-            Section(
-                "purity",
-                header=("field", "value"),
-                rows=[
-                    ("measured", measured),
-                    ("closed", _over_denominator(closed, n * n)),
-                    ("closed_float", float(closed)),
-                ],
-            )
-        )
-        purity_line = f"purity={format(measured, '.17g')} closed={_over_denominator(closed, n * n)}"
+        purity_sec, purity_line = _purity_report(run)
+        sections.append(purity_sec)
     result = None
     if cfg.trials > 0:
         result = superposition.sample_factor_driver(
-            n, mode, cfg.trials, cfg.seed, q_bits=cfg.q
+            n, mode, cfg.trials, cfg.seed, q_bits=run.q_bits, run=run
         )
         sections.extend(_driver_sections(result))
     emit(cfg, sections)
@@ -567,25 +525,10 @@ def cmd_purity(cfg: RunConfig) -> int:
         run = superposition.run_exact(n)
     except (NotSemiprimeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-    measured = purity_a(run.state)
-    closed = purity_closed(run.s)
-    emit(
-        cfg,
-        [
-            Section(
-                "purity",
-                header=("field", "value"),
-                rows=[
-                    ("n", n),
-                    ("measured", measured),
-                    ("closed", _over_denominator(closed, n * n)),
-                    ("closed_float", float(closed)),
-                ],
-            )
-        ],
-    )
+    sec, line = _purity_report(run, ("n", n))
+    emit(cfg, [sec])
     if cfg.output:
-        print(f"purity={format(measured, '.17g')} closed={_over_denominator(closed, n * n)}")
+        print(line)
     return 0
 
 

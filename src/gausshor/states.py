@@ -63,6 +63,44 @@ def check_amplitude_cap(n_amplitudes: int) -> None:
         )
 
 
+def abs_sq(z: np.ndarray) -> np.ndarray:
+    """Elementwise |z|^2 with one temporary; the same bits as z.real**2 + z.imag**2."""
+    sq = z.real**2
+    sq += z.imag**2
+    return sq
+
+
+def phase_roots(n: int) -> np.ndarray:
+    """exp(2*pi*i*r/n) for r = 0 .. n-1, the table every quadratic phase is gathered from."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def row_blocks(n_rows: int, row_len: int, entries: int):
+    """Fixed partition of range(n_rows) into ascending int64 blocks of about entries cells."""
+    step = max(1, entries // row_len)
+    for start in range(0, n_rows, step):
+        yield np.arange(start, min(start + step, n_rows), dtype=np.int64)
+
+
+def quadratic_phase_grid(factor, dim_a: int, dim_b: int, n: int) -> np.ndarray:
+    """New (dim_a, dim_b) grid factor * exp[2*pi*i*m^2*l/n], built in blocks of A rows.
+
+    factor is a scalar or a full grid.  Phase indices are reduced mod n in
+    integer arithmetic before the table lookup; an index block holds about
+    2**16 entries, so no dim_a x dim_b index grid is built.
+    """
+    if n < 1:
+        raise ValueError(f"phase modulus must be >= 1, got {n}")
+    roots = phase_roots(n)
+    msq = (np.arange(dim_b, dtype=np.int64) ** 2) % n
+    factor = np.broadcast_to(factor, (dim_a, dim_b))
+    grid = np.empty((dim_a, dim_b), dtype=np.complex128)
+    for rows in row_blocks(dim_a, dim_b, 1 << 16):
+        block = slice(rows[0], rows[-1] + 1)
+        np.multiply(factor[block], roots[(rows[:, None] * msq) % n], out=grid[block])
+    return grid
+
+
 @dataclass(frozen=True)
 class BipartiteState:
     """Immutable statevector on A x B; amps has shape (dim_a, dim_b)."""
@@ -78,7 +116,7 @@ class BipartiteState:
             raise ValueError(
                 f"amplitude grid {self.amps.shape} != ({self.dim_a}, {self.dim_b})"
             )
-        norm_sq = float(np.sum(self.amps.real**2 + self.amps.imag**2))
+        norm_sq = float(np.sum(abs_sq(self.amps)))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise StateIntegrityError(f"squared norm {norm_sq!r} deviates from 1")
         self.amps.setflags(write=False)
@@ -132,16 +170,10 @@ def apply_quadratic_phase(state: BipartiteState, n: int) -> BipartiteState:
     """Multiply amplitude(l, m) by exp[2*pi*i*m^2*l/n].
 
     Diagonal, hence norm-preserving; n sets the phase period and is
-    independent of either register dimension.  Phase indices are reduced
-    mod n in integer arithmetic before exponentiation.
+    independent of either register dimension.
     """
-    if n < 1:
-        raise ValueError(f"phase modulus must be >= 1, got {n}")
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    m = np.arange(state.dim_b, dtype=np.int64)
-    ell = np.arange(state.dim_a, dtype=np.int64)
-    idx = (ell[:, None] * ((m * m) % n)[None, :]) % n
-    return BipartiteState(state.dim_a, state.dim_b, state.amps * roots[idx])
+    amps = quadratic_phase_grid(state.amps, state.dim_a, state.dim_b, n)
+    return BipartiteState(state.dim_a, state.dim_b, amps)
 
 
 def qft_vector(vec: np.ndarray) -> np.ndarray:
@@ -168,7 +200,7 @@ def qft_b(state: BipartiteState) -> BipartiteState:
 
 def marginal_b(state: BipartiteState) -> Distribution:
     """Probability of each B label: column sums of |amplitude|^2."""
-    probs = np.sum(state.amps.real**2 + state.amps.imag**2, axis=0)
+    probs = np.sum(abs_sq(state.amps), axis=0)
     return Distribution(np.arange(state.dim_b), probs)
 
 
@@ -176,8 +208,7 @@ def conditional_a(state: BipartiteState, n0: int) -> Distribution:
     """Distribution of the A register given a B measurement with outcome n0."""
     if not (0 <= n0 < state.dim_b):
         raise ValueError(f"outcome {n0} outside B register of size {state.dim_b}")
-    col = state.amps[:, n0]
-    weights = col.real**2 + col.imag**2
+    weights = abs_sq(state.amps[:, n0])
     mass = float(np.sum(weights))
     if mass <= 1e-12:
         raise ZeroMarginalError(f"outcome {n0} has marginal probability {mass!r}")
@@ -189,7 +220,7 @@ def collapse_b(state: BipartiteState, n0: int) -> CollapseResult:
     if not (0 <= n0 < state.dim_b):
         raise ValueError(f"outcome {n0} outside B register of size {state.dim_b}")
     col = state.amps[:, n0]
-    norm = math.sqrt(float(np.sum(col.real**2 + col.imag**2)))
+    norm = math.sqrt(float(np.sum(abs_sq(col))))
     if norm <= 1e-12:
         raise ZeroMarginalError(f"outcome {n0} has (near-)zero amplitude")
     return CollapseResult(n0, col / norm)
@@ -220,8 +251,7 @@ def purity_a(state: BipartiteState) -> float:
     taken on the smaller side.
     """
     a = state.amps if state.dim_a <= state.dim_b else state.amps.T
-    gram = a @ a.conj().T
-    return float(np.sum(gram.real**2 + gram.imag**2))
+    return float(np.sum(abs_sq(a @ a.conj().T)))
 
 
 def purity_closed(s: Semiprime) -> Fraction:

@@ -6,17 +6,20 @@ amplitudes proportional to the shifted Gauss sums W_n(l).  Measuring B
 then hands A a distribution over trial factors whose enhanced points (or
 exact zeros) mark the divisors of N.
 
-The exact run materializes the N x N grid.  The qubit variant works on
-two registers of size 2**Q > N**2 instead; its grid is never
-materialized.  Its amplitudes depend on the A index l only through the
-residue l mod N, so it computes N residue rows, each one FFT of a
-quadratic-phase vector, and weights each by the number of register rows
-that share its residue.  Residues are processed in fixed blocks, in
-ascending order, so results do not depend on how the work is scheduled.
+The exact run materializes the N x N grid in one pass.  The qubit variant
+works on two registers of size 2**Q > N**2 instead; its grid is never
+materialized, and a qubit run carries no B marginal until one is asked
+for, so a report on the conditional column alone never builds it.  Its
+amplitudes depend on the A index l only through the residue l mod N, so
+the marginal takes N residue rows, each one FFT of a quadratic-phase
+vector, and weights each by the number of register rows that share its
+residue.  Residues are processed in fixed blocks, in ascending order, so
+results do not depend on how the work is scheduled.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,13 +32,15 @@ from .states import (
     BipartiteState,
     Distribution,
     StateIntegrityError,
-    apply_quadratic_phase,
+    abs_sq,
+    check_amplitude_cap,
     conditional_a,
     marginal_b,
-    qft_b,
+    phase_roots,
+    quadratic_phase_grid,
+    row_blocks,
     sample_cdf,
     sample_outcome,
-    uniform_product,
 )
 from .trials import DriverResult, TrialRecord, trial_rng
 
@@ -48,18 +53,25 @@ class SuperpositionRun:
     """One prepared instance of the algorithm.
 
     mode "exact" carries the full N x N post-Fourier state; mode "qubit"
-    carries only the accumulated B marginal of the 2**Q register pair.
+    carries only the validated (N, Q) of the 2**Q register pair.  Neither
+    holds a B marginal until pb_probs is first read.
     """
 
     s: Semiprime
     mode: str
     q_bits: int | None = None
     state: BipartiteState | None = None
-    pb_probs: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return self.s.n
+
+    @functools.cached_property
+    def pb_probs(self) -> np.ndarray:
+        """B marginal, built on first use: brute force, or the residue-folded qubit marginal."""
+        if self.mode == "exact":
+            return marginal_b(self.state).probs
+        return qubit_marginal(self.n, self.q_bits)
 
 
 @dataclass(frozen=True)
@@ -88,12 +100,20 @@ def _check_exact(run: SuperpositionRun) -> BipartiteState:
 def run_exact(n: int) -> SuperpositionRun:
     """Prepare the exact N x N state: uniform product, quadratic phase, Fourier on B.
 
-    A handful of amplitudes are spot-checked against directly summed
-    shifted Gauss sums before the run is handed out.
+    One pass, with the bits of qft_b(apply_quadratic_phase(uniform_product(n,
+    n), n)): the phases are gathered a block of rows at a time, at
+    amplitude 1/N, into one grid, which is Fourier transformed along B and
+    scaled by sqrt(N) in place, and the norm is checked once.  A handful
+    of amplitudes are spot-checked against directly summed shifted Gauss
+    sums before the run is handed out.
     """
     s = factor_semiprime(n)
-    state = qft_b(apply_quadratic_phase(uniform_product(n, n), n))
+    check_amplitude_cap(n * n)
+    amps = quadratic_phase_grid(complex(1.0 / n), n, n, n)
+    np.fft.ifft(amps, axis=1, out=amps)
     root_n = math.sqrt(n)
+    amps *= root_n
+    state = BipartiteState(n, n, amps)
     for ell, shift in ((0, 0), (1, 0), (1, 1), (s.p, 2 * s.p), (s.q, 1), (n - 1, n - 1)):
         expected = eval_W(shift, ell, n) / root_n
         if abs(state.amps[ell, shift] - expected) > 1e-9:
@@ -105,16 +125,13 @@ def run_exact(n: int) -> SuperpositionRun:
 
 def p_b_distribution(run: SuperpositionRun) -> Distribution:
     """Marginal of the B register: exact brute force, or the residue-folded qubit marginal."""
-    if run.mode == "exact":
-        return marginal_b(_check_exact(run))
-    assert run.pb_probs is not None
     return Distribution(np.arange(len(run.pb_probs)), run.pb_probs)
 
 
 def success_mass(run: SuperpositionRun) -> SuccessMass:
     """Split the exact B marginal by the divisor class of the outcome."""
-    state = _check_exact(run)
-    probs = marginal_b(state).probs
+    _check_exact(run)
+    probs = run.pb_probs
     n, p, q = run.s.n, run.s.p, run.s.q
     gcds = np.gcd(np.arange(n), n)
     factor_mask = (gcds == p) | (gcds == q)
@@ -133,40 +150,37 @@ def factor_mass_a(run: SuperpositionRun, n0: int) -> float:
     return float(np.sum(cond.probs[(gcds == p) | (gcds == q)]))
 
 
-def _phase_roots(n: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(n) / n)
-
-
-def _residue_blocks(n: int, size: int):
-    """Fixed partition of the N residues into blocks of about _BLOCK_ENTRIES entries."""
-    rows = max(1, _BLOCK_ENTRIES // size)
-    for start in range(0, n, rows):
-        yield np.arange(start, min(start + rows, n), dtype=np.int64)
-
-
 def run_qubit(n: int, q_bits: int) -> SuperpositionRun:
-    """Prepare the power-of-two variant and fold its B marginal over residues.
+    """Prepare the power-of-two variant; its B marginal is built on first use.
 
     Requires N**2 < 2**Q (so the Fourier peaks of the N-comb are uniquely
-    placed) and Q <= 20.  The B amplitudes (1/M) sum_m exp[2*pi*i*(m^2 l / N
-    + m n / M)] of row l are one inverse FFT and depend on l only through
-    r = l mod N, so each residue row is transformed once and its squared
-    moduli weighted by the (M - 1 - r)//N + 1 register rows with residue r.
+    placed) and Q <= 20.
     """
     s = factor_semiprime(n)
     if q_bits > MAX_QUBIT_BITS:
         raise ValueError(f"register size 2**{q_bits} beyond register cap 2**{MAX_QUBIT_BITS}")
-    size = 1 << q_bits
-    if n * n >= size:
+    if n * n >= 1 << q_bits:
         raise ValueError(f"need n**2 < 2**q_bits, got {n}**2 >= 2**{q_bits}")
+    return SuperpositionRun(s=s, mode="qubit", q_bits=q_bits)
+
+
+def qubit_marginal(n: int, q_bits: int) -> np.ndarray:
+    """B marginal of the power-of-two variant, folded over residues.
+
+    The B amplitudes (1/M) sum_m exp[2*pi*i*(m^2 l / N + m n / M)] of row l
+    are one inverse FFT and depend on l only through r = l mod N, so each
+    residue row is transformed once and its squared moduli weighted by the
+    (M - 1 - r)//N + 1 register rows with residue r.
+    """
+    size = 1 << q_bits
     msq = (np.arange(size, dtype=np.int64) ** 2) % n
-    roots = _phase_roots(n)
+    roots = phase_roots(n)
     counts = ((size - 1 - np.arange(n)) // n + 1).astype(np.float64)
     acc = np.zeros(size)
-    for r in _residue_blocks(n, size):
+    for r in row_blocks(n, size, _BLOCK_ENTRIES):
         rows = np.fft.ifft(roots[(r[:, None] * msq[None, :]) % n], axis=1)
-        acc += counts[r] @ (rows.real**2 + rows.imag**2)
-    return SuperpositionRun(s=s, mode="qubit", q_bits=q_bits, pb_probs=acc / size)
+        acc += counts[r] @ abs_sq(rows)
+    return acc / size
 
 
 def _qubit_conditional_probs(run: SuperpositionRun, n0: int) -> np.ndarray:
@@ -180,12 +194,11 @@ def _qubit_conditional_probs(run: SuperpositionRun, n0: int) -> np.ndarray:
     if not (0 <= n0 < size):
         raise ValueError(f"outcome {n0} outside register of size {size}")
     msq = (np.arange(size, dtype=np.int64) ** 2) % n
-    roots = _phase_roots(n)
+    roots = phase_roots(n)
     linear = np.exp(2j * np.pi * np.arange(size) * n0 / size) / size
     folded = np.empty(n)
-    for r in _residue_blocks(n, size):
-        col = roots[(r[:, None] * msq[None, :]) % n] @ linear
-        folded[r] = col.real**2 + col.imag**2
+    for r in row_blocks(n, size, _BLOCK_ENTRIES):
+        folded[r] = abs_sq(roots[(r[:, None] * msq[None, :]) % n] @ linear)
     return folded[np.arange(size) % n] / size
 
 
@@ -272,6 +285,8 @@ def sample_factor_driver(
     max_trials: int,
     seed: int,
     q_bits: int | None = None,
+    *,
+    run: SuperpositionRun | None = None,
 ) -> DriverResult:
     """Measure-B-then-maybe-A loop returning the first nontrivial gcd found.
 
@@ -279,17 +294,18 @@ def sample_factor_driver(
     otherwise one A sample is taken from the conditional and its gcd
     tested.  Qubit mode first maps the measured bin to j = round(n0*N/2**Q)
     and tests gcd(j, N), since the marginal concentrates at bins j*2**Q/N.
+    A caller that already prepared the run for (n, mode, q_bits) passes it
+    as run, so the state and its marginal are not built twice.
     """
-    if mode == "exact":
-        run = run_exact(n)
-        pb_cdf = np.cumsum(marginal_b(run.state).probs)
-    elif mode == "qubit":
-        if q_bits is None:
-            raise ValueError("qubit mode needs q_bits")
-        run = run_qubit(n, q_bits)
-        pb_cdf = np.cumsum(run.pb_probs)
-    else:
+    if mode not in ("exact", "qubit"):
         raise ValueError(f"unknown driver mode {mode!r}")
+    if mode == "qubit" and q_bits is None:
+        raise ValueError("qubit mode needs q_bits")
+    if run is None:
+        run = run_exact(n) if mode == "exact" else run_qubit(n, q_bits)
+    elif (run.n, run.mode, run.q_bits) != (n, mode, q_bits if mode == "qubit" else None):
+        raise ValueError("prepared run does not match the driver's n, mode and q_bits")
+    pb_cdf = np.cumsum(run.pb_probs)
     size = len(pb_cdf)
     records = []
     for t in range(max_trials):

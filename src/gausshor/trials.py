@@ -18,9 +18,9 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent generator for one trial, keyed on (seed, trial index)."""
     if trial_index < 0:
         raise ValueError(f"trial index must be >= 0, got {trial_index}")
-    return np.random.Generator(
-        np.random.Philox(key=[seed & _MASK64, trial_index & _MASK64])
-    )
+    # a uint64 array: a Python list would pass seeds >= 2**63 through float64
+    key = np.array([seed & _MASK64, trial_index & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)

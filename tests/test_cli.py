@@ -5,10 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 import gausshor
-from gausshor.cli import _json_escape, main
+from gausshor import superposition
+from gausshor.cli import RunConfig, Section, _json_escape, main, render_csv, render_json
+
+import render_reference
 
 
 def run_main(*args, capsys=None):
@@ -360,3 +366,60 @@ def test_subprocess_matches_in_process(tmp_path, capsys):
 def test_json_escape(text, expected):
     assert _json_escape(text) == expected
     assert json.loads(expected) == text
+
+
+# one column mixes values that compare equal but print differently, so a
+# memo keyed on the value alone would hand one of them the other's text
+_MIXED = [
+    0.0, -0.0, 0, False, 1, True, 1.0, np.float64(-0.0), np.float64(0.0), np.float32(0.5),
+    np.int64(1), np.int64(0), np.bool_(True), Fraction(0), Fraction(3, 4), Fraction(-3),
+    None, "", "0", 'say "hi"', "tab\there\n", "a\\b", "é", float("nan"), float("inf"),
+    -1e-300, 0.1 + 0.2, 2**70, -7,
+]
+
+
+def _reference_sections():
+    n = len(_MIXED)
+    return [
+        ("mixed", [("n0", 'a"b')], ("x", 'quote"key', "tab\tkey"),
+         [(_MIXED[i % n], _MIXED[-1 - i % n], _MIXED[3 * i % n]) for i in range(2 * n)]),
+        ("labels", [], ("label", "probability", "annotation"),
+         [(i - 3, [0.25, -0.0, 1e-17][i % 3], ["", "factor-multiple"][i % 2]) for i in range(40)]),
+        ("empty", [("k", "v")], ("field", "value"), []),
+    ]
+
+
+def test_renderers_match_per_cell_reference():
+    cfg = RunConfig(command="superposition", n="91", mode='ex"act\t')
+    sections = _reference_sections()
+    ours = [Section(name, list(attrs), header, list(rows))
+            for name, attrs, header, rows in sections]
+    items = cfg.echo_items()
+    assert render_csv(cfg, ours) == render_reference.render_csv(items, sections)
+    assert render_json(cfg, ours) == render_reference.render_json(items, sections)
+
+
+def test_qubit_conditional_report_never_builds_marginal(monkeypatch, capsys):
+    def refuse(n, q_bits):
+        raise AssertionError("marginal built")
+
+    monkeypatch.setattr(superposition, "qubit_marginal", refuse)
+    rc, out, _ = run_main(
+        "superposition", "--n", "21", "--mode", "qubit", "--q", "9",
+        "--report", "conditional", "--n0", "171", capsys=capsys,
+    )
+    assert rc == 0
+    assert len(parse_csv_sections(out)["conditional n0=171"]) == 512
+
+
+def test_qubit_pb_report_carries_folded_marginal(capsys):
+    rc, out, _ = run_main(
+        "superposition", "--n", "21", "--mode", "qubit", "--q", "9", "--report", "pb",
+        capsys=capsys,
+    )
+    assert rc == 0
+    probs = superposition.qubit_marginal(21, 9)
+    rows = parse_csv_sections(out)["pb"]
+    assert [int(r["label"]) for r in rows] == np.flatnonzero(probs > 0).tolist()
+    for r in rows:
+        assert r["probability"] == format(probs[int(r["label"])], ".17g")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gausshor.kernels import (
     closed_W_sq,
@@ -67,6 +68,21 @@ def test_closed_W_sq_examples():
 
 
 PRIME_POOL = (3, 5, 7, 11, 13)
+
+# the odd semiprimes p*q, p < q primes, up to 221
+_SEMIPRIMES = (15, 21, 33, 35, 39, 51, 55, 57, 65, 69, 77, 85, 87, 91, 93, 95, 111,
+               115, 119, 123, 129, 133, 141, 143, 145, 155, 159, 161, 177, 183, 185,
+               187, 201, 203, 205, 209, 213, 215, 217, 219, 221)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_SEMIPRIMES), st.data())
+def test_closed_W_sq_matches_direct_sum_property(n, data):
+    s = factor_semiprime(n)
+    n0 = data.draw(st.integers(0, n - 1))
+    # multiples of p, q and N are where the case table branches
+    ell = data.draw(st.integers(0, 3 * n) | st.sampled_from([0, s.p, s.q, n, 2 * s.p * s.q]))
+    assert abs(abs(eval_W(n0, ell, n)) ** 2 - float(closed_W_sq(n0, ell, s))) <= 1e-12
 
 
 def test_closed_form_and_shift_normalization_full_pair_grid():

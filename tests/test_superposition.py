@@ -14,12 +14,14 @@ from gausshor.states import (
     sample_outcome,
     uniform_product,
 )
+from gausshor import superposition
 from gausshor.superposition import (
     _qubit_conditional_probs,
     conditional_after_peak,
     factor_mass_a,
     p_b_closed_reference,
     p_b_distribution,
+    qubit_marginal,
     run_exact,
     run_qubit,
     sample_factor_driver,
@@ -291,3 +293,48 @@ def test_pb_brute_force_oracle_cross_check():
     pb = p_b_distribution(run_exact(35)).probs
     brute = oracles.pb_brute(35)
     assert np.max(np.abs(pb - np.array(brute))) < 1e-9
+
+
+@pytest.mark.parametrize("n", [15, 21, 91, 221])
+def test_run_exact_one_pass_matches_composition(n):
+    composed = qft_b(apply_quadratic_phase(uniform_product(n, n), n)).amps
+    assert np.array_equal(run_exact(n).state.amps, composed)
+
+
+def test_qubit_run_builds_marginal_on_demand(monkeypatch):
+    def refuse(n, q_bits):
+        raise AssertionError("marginal built")
+
+    monkeypatch.setattr(superposition, "qubit_marginal", refuse)
+    run = run_qubit(21, 9)
+    assert conditional_after_peak(run, 171).probs.shape == (512,)
+    monkeypatch.undo()
+    assert np.array_equal(run.pb_probs, qubit_marginal(21, 9))
+    assert run.pb_probs is run.pb_probs  # built once, then kept
+
+
+@pytest.mark.parametrize(
+    "seed, factor, records",
+    [
+        (1, 3, [(122, 433, None), (0, 504, None), (122, 184, None), (293, None, 3)]),
+        (11, 7, [(0, 350, 7)]),
+        (12, 3, [(244, 229, None), (390, 461, None), (0, 394, None),
+                 (268, 461, None), (439, None, 3)]),
+    ],
+)
+def test_sample_factor_driver_qubit_records_pinned(seed, factor, records):
+    # recorded before the qubit marginal became lazy; a prepared run gives the same
+    res = sample_factor_driver(21, "qubit", 40, seed, q_bits=9)
+    assert res.factor == factor
+    assert [(r.outcome_b, r.outcome_a, r.factor) for r in res.records] == records
+    assert sample_factor_driver(21, "qubit", 40, seed, q_bits=9, run=run_qubit(21, 9)) == res
+
+
+def test_sample_factor_driver_reuses_prepared_run(run91):
+    assert sample_factor_driver(91, "exact", 100, 7, run=run91) == sample_factor_driver(
+        91, "exact", 100, 7
+    )
+    with pytest.raises(ValueError):
+        sample_factor_driver(15, "exact", 10, 1, run=run91)
+    with pytest.raises(ValueError):
+        sample_factor_driver(21, "qubit", 10, 1, q_bits=10, run=run_qubit(21, 9))
