@@ -23,7 +23,7 @@ import numpy as np
 
 from . import shor_gauss, superposition
 from .kernels import eval_G, eval_truncated, eval_W, g_of
-from .numtheory import NotSemiprimeError, Semiprime, factor_semiprime
+from .numtheory import Semiprime, factor_semiprime
 from .states import AmplitudeCapError, Distribution, conditional_a, purity_a, purity_closed
 
 SCHEMA_VERSION = 1
@@ -74,15 +74,12 @@ class RunConfig:
         return items
 
 
-_INT_KEYS = ("q", "trials", "seed", "n0", "terms", "ell")
-_STR_KEYS = ("n", "branch", "mode", "kind", "report", "format", "output")
-
-
 def _parse_config_file(path: str) -> dict[str, str]:
     """key = value lines, # comments; later keys win."""
     out: dict[str, str] = {}
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -112,22 +109,32 @@ def _to_bool(key: str, raw: str) -> bool:
     raise InputError(f"{key} expects a boolean, got {raw!r}")
 
 
+def _from_text(key: str, raw: str):
+    """A config-file value as the type of RunConfig's field key (its annotation text)."""
+    kind = RunConfig.__dataclass_fields__[key].type
+    if kind == "bool":
+        return _to_bool(key, raw)
+    return _to_int(key, raw) if kind.startswith("int") else raw
+
+
 def merge_config(ns: argparse.Namespace) -> RunConfig:
-    """Resolve flags over config-file values over defaults."""
+    """Resolve flags over config-file values over defaults.
+
+    Every RunConfig field but the command is a key, accepted by every
+    subcommand; a config-file key outside that set is rejected.
+    """
+    keys = [key for key in RunConfig.__dataclass_fields__ if key != "command"]
     file_vals = _parse_config_file(ns.config) if getattr(ns, "config", None) else {}
+    for key in file_vals:
+        if key not in keys:
+            raise InputError(f"{ns.config}: unknown key {key!r}")
     cfg = RunConfig(command=ns.command)
-    for key in _INT_KEYS + _STR_KEYS + ("allow_small_register",):
-        cli_val = getattr(ns, key, None)
-        if cli_val is None and key in file_vals:
-            raw = file_vals[key]
-            if key == "allow_small_register":
-                cli_val = _to_bool(key, raw)
-            elif key in _INT_KEYS:
-                cli_val = _to_int(key, raw)
-            else:
-                cli_val = raw
-        if cli_val is not None:
-            setattr(cfg, key, cli_val)
+    for key in keys:
+        value = getattr(ns, key, None)
+        if value is None and key in file_vals:
+            value = _from_text(key, file_vals[key])
+        if value is not None:
+            setattr(cfg, key, value)
     if cfg.format not in ("csv", "json"):
         raise InputError(f"--format must be csv or json, got {cfg.format!r}")
     return cfg
@@ -351,10 +358,8 @@ def _parse_branch(spec: str, s: Semiprime) -> int:
 def _annotate_bins(s: Semiprime, q_bits: int, periods: list[int]):
     notes: dict[int, str] = {}
     for period in (s.n, *periods):  # period peaks override modulus peaks
-        size = 1 << q_bits
         for j in range(1, period):
-            pos = (2 * j * size + period) // (2 * period)
-            notes[pos] = f"peak period={period} j={j}"
+            notes[shor_gauss.peak_bin(j, period, q_bits)] = f"peak period={period} j={j}"
     return _label_notes(notes)
 
 
@@ -382,18 +387,20 @@ def _driver_summary_line(cfg: RunConfig, result) -> int:
     return 0 if result.succeeded else 1
 
 
-def cmd_shor_gauss(cfg: RunConfig) -> int:
-    n = _reduce_even(_require_n(cfg))
+def _checked(build, *args):
+    """build(*args), with a ValueError (input the library rejects) mapped to exit 2."""
     try:
-        s = factor_semiprime(n)
-    except NotSemiprimeError as exc:
-        raise InputError(str(exc)) from exc
-    q_bits = cfg.q if cfg.q is not None else shor_gauss.min_register_bits(n)
-    allow = cfg.allow_small_register
-    try:
-        branches = shor_gauss.branch_probs(s, q_bits, allow)
+        return build(*args)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def cmd_shor_gauss(cfg: RunConfig) -> int:
+    n = _reduce_even(_require_n(cfg))
+    s = _checked(factor_semiprime, n)
+    q_bits = cfg.q if cfg.q is not None else shor_gauss.min_register_bits(n)
+    allow = cfg.allow_small_register
+    branches = _checked(shor_gauss.branch_probs, s, q_bits, allow)
 
     rows = [
         (b.label, float(b.probability),
@@ -403,10 +410,7 @@ def cmd_shor_gauss(cfg: RunConfig) -> int:
     sections = [Section("branch_probs", header=("label", "probability", "annotation"), rows=rows)]
     if cfg.branch:
         label = _parse_branch(cfg.branch, s)
-        try:
-            dist = shor_gauss.qft_distribution(s, q_bits, label, allow)
-        except AmplitudeCapError as exc:
-            raise InputError(str(exc)) from exc
+        dist = shor_gauss.qft_distribution(s, q_bits, label, allow)
         periods = {s.n: [s.n], s.p: [s.p], s.q: [s.q], 1: [s.p, s.q]}[label]
         sections.append(
             _distribution_section(
@@ -424,12 +428,9 @@ def cmd_shor_gauss(cfg: RunConfig) -> int:
             sections.append(sec)
     result = None
     if cfg.trials > 0:
-        try:
-            result = shor_gauss.factor_driver(
-                n, q_bits, cfg.trials, cfg.seed, allow_small_register=allow
-            )
-        except AmplitudeCapError as exc:
-            raise InputError(str(exc)) from exc
+        result = shor_gauss.factor_driver(
+            n, q_bits, cfg.trials, cfg.seed, allow_small_register=allow
+        )
         sections.extend(_driver_sections(result))
     emit(cfg, sections)
     return _driver_summary_line(cfg, result) if result is not None else 0
@@ -460,15 +461,12 @@ def cmd_superposition(cfg: RunConfig) -> int:
         raise InputError(f"--report {report} needs --mode exact")
     if report == "conditional" and cfg.n0 is None:
         raise InputError("--report conditional needs --n0")
-    try:
-        if mode == "exact":
-            run = superposition.run_exact(n)
-        else:
-            if cfg.q is None:
-                raise InputError("--mode qubit needs --q")
-            run = superposition.run_qubit(n, cfg.q)
-    except (NotSemiprimeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    if mode == "exact":
+        run = _checked(superposition.run_exact, n)
+    elif cfg.q is None:
+        raise InputError("--mode qubit needs --q")
+    else:
+        run = _checked(superposition.run_qubit, n, cfg.q)
     s = run.s
 
     sections = []
@@ -478,19 +476,15 @@ def cmd_superposition(cfg: RunConfig) -> int:
             notes = {n: "useful n0=0", s.p: f"useful gcd={s.p}", s.q: f"useful gcd={s.q}"}
             annotate = _gcd_notes(n, notes)
         else:
-            size = 1 << run.q_bits
             annotate = _label_notes(
-                {(2 * j * size + n) // (2 * n): f"peak j={j}" for j in range(n)}
+                {shor_gauss.peak_bin(j, n, run.q_bits): f"peak j={j}" for j in range(n)}
             )
         sections.append(_distribution_section("pb", dist, annotate))
     if cfg.n0 is not None and report in ("all", "conditional"):
-        try:
-            if mode == "exact":
-                cond = conditional_a(run.state, cfg.n0)
-            else:
-                cond = superposition.conditional_after_peak(run, cfg.n0)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        if mode == "exact":
+            cond = _checked(conditional_a, run.state, cfg.n0)
+        else:
+            cond = _checked(superposition.conditional_after_peak, run, cfg.n0)
         sections.append(
             _distribution_section(
                 "conditional",
@@ -509,9 +503,7 @@ def cmd_superposition(cfg: RunConfig) -> int:
         sections.append(purity_sec)
     result = None
     if cfg.trials > 0:
-        result = superposition.sample_factor_driver(
-            n, mode, cfg.trials, cfg.seed, q_bits=run.q_bits, run=run
-        )
+        result = superposition.sample_factor_driver(run, cfg.trials, cfg.seed)
         sections.extend(_driver_sections(result))
     emit(cfg, sections)
     if purity_line and cfg.output:
@@ -521,10 +513,7 @@ def cmd_superposition(cfg: RunConfig) -> int:
 
 def cmd_purity(cfg: RunConfig) -> int:
     n = _reduce_even(_require_n(cfg))
-    try:
-        run = superposition.run_exact(n)
-    except (NotSemiprimeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    run = _checked(superposition.run_exact, n)
     sec, line = _purity_report(run, ("n", n))
     emit(cfg, [sec])
     if cfg.output:
@@ -546,11 +535,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         header=("n", "p", "q", "purity", "purity_closed", "useful_mass"),
     )
     for raw in values:
-        n = _reduce_even(raw)
-        try:
-            run = superposition.run_exact(n)
-        except (NotSemiprimeError, ValueError) as exc:
-            raise InputError(str(exc)) from exc
+        run = _checked(superposition.run_exact, _reduce_even(raw))
+        n = run.n
         sec.rows.append(
             (
                 n,
@@ -634,7 +620,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = merge_config(ns)
         return _COMMANDS[ns.command](cfg)
-    except InputError as exc:
+    except (InputError, AmplitudeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

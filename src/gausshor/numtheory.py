@@ -83,6 +83,12 @@ def gcd_conv(a: int, n: int) -> int:
     return math.gcd(a, n)
 
 
+def nontrivial_divisor(value: int, n: int) -> int | None:
+    """gcd(value mod n, n) when it is a proper divisor, 1 < g < n; otherwise None."""
+    g = gcd_conv(value % n, n)
+    return g if 1 < g < n else None
+
+
 def classify_gcd(ell: int, s: Semiprime) -> GcdClass:
     """Sort a residue into the four divisor classes of a semiprime."""
     g = gcd_conv(ell % s.n, s.n)

@@ -25,15 +25,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numtheory import Semiprime, count_upper, factor_semiprime, gcd_conv
+from .numtheory import Semiprime, count_upper, factor_semiprime, gcd_conv, nontrivial_divisor
 from .states import (
     BipartiteState,
     Distribution,
+    abs_sq,
     check_amplitude_cap,
     qft_vector,
     sample_cdf,
 )
-from .trials import DriverResult, TrialRecord, trial_rng
+from .trials import DriverResult, TrialRecord, drive
 
 
 class BranchKind(Enum):
@@ -188,8 +189,12 @@ def qft_distribution(
 ) -> Distribution:
     """|QFT(post state)|^2 over the 2**Q output bins."""
     vec = qft_vector(post_state(s, q_bits, label, allow_small_register))
-    probs = vec.real**2 + vec.imag**2
-    return Distribution(np.arange(len(vec)), probs)
+    return Distribution(np.arange(len(vec)), abs_sq(vec))
+
+
+def peak_bin(j: int, period: int, q_bits: int) -> int:
+    """The bin nearest j * 2**Q / period; an exact half-integer rounds up."""
+    return (2 * j * (1 << q_bits) + period) // (2 * period)
 
 
 def peak_positions(period: int, q_bits: int) -> tuple[int, ...]:
@@ -198,9 +203,7 @@ def peak_positions(period: int, q_bits: int) -> tuple[int, ...]:
     Exact half-integer offsets round half-up; duplicates collapse.  The
     j = 0 bin is excluded (handled as the DC bin by callers).
     """
-    size = 1 << q_bits
-    pos = sorted({(2 * j * size + period) // (2 * period) for j in range(1, period)})
-    return tuple(pos)
+    return tuple(sorted({peak_bin(j, period, q_bits) for j in range(1, period)}))
 
 
 def analyze_peaks(
@@ -321,7 +324,7 @@ def _comb_cdf(s: Semiprime, q_bits: int, label: int, fourier: bool) -> np.ndarra
     vec = post_state(s, q_bits, label, allow_small_register=True)
     if fourier:
         vec = qft_vector(vec)
-    cdf = np.cumsum(vec.real**2 + vec.imag**2)
+    cdf = np.cumsum(abs_sq(vec))
     cdf.setflags(write=False)
     return cdf
 
@@ -354,8 +357,7 @@ def run_trial(
     if branch.kind is BranchKind.CASE_FACTOR:
         if mode == "direct-read":
             ell = sample_cdf(_comb_cdf(s, q_bits, branch.label, False), rng)
-            g = gcd_conv(ell % s.n, s.n)
-            factor = g if 1 < g < s.n else None
+            factor = nontrivial_divisor(ell, s.n)
             return TrialRecord(trial_index, branch.label, outcome_a=ell, factor=factor)
         return TrialRecord(trial_index, branch.label, factor=branch.label)
     if branch.kind is BranchKind.CASE_N:
@@ -365,13 +367,12 @@ def run_trial(
     if m == 0:
         return TrialRecord(trial_index, branch.label, outcome_a=0)
     cand = recover_divisor(m, q_bits, s.n)
-    factor = cand.gcd_with_n if 1 < cand.gcd_with_n < s.n else None
     return TrialRecord(
         trial_index,
         branch.label,
         outcome_a=m,
         candidate=cand.denominator,
-        factor=factor,
+        factor=nontrivial_divisor(cand.denominator, s.n),
     )
 
 
@@ -391,12 +392,9 @@ def factor_driver(
     s = factor_semiprime(n)
     _check_register(s, q_bits, allow_small_register)
     check_amplitude_cap(1 << q_bits)
-    records = []
-    for t in range(max_trials):
-        rec = run_trial(s, q_bits, trial_rng(seed, t), t, mode, allow_small_register)
-        records.append(rec)
-        if rec.factor is not None:
-            return DriverResult(
-                n, True, rec.factor, t + 1, max_trials, seed, tuple(records)
-            )
-    return DriverResult(n, False, None, max_trials, max_trials, seed, tuple(records))
+    return drive(
+        n,
+        max_trials,
+        seed,
+        lambda t, rng: run_trial(s, q_bits, rng, t, mode, allow_small_register),
+    )

@@ -44,13 +44,19 @@ class ZeroMarginalError(ValueError):
 
 
 def amplitude_cap() -> int:
-    """Current cap on dense amplitude counts; env override wins."""
+    """Current cap on dense amplitude counts; env override wins.
+
+    An override that is not a positive integer raises AmplitudeCapError.
+    """
     raw = os.environ.get(_MEM_CAP_ENV)
     if raw is None:
         return DEFAULT_AMPLITUDE_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # not an integer: rejected below
     if cap < 1:
-        raise ValueError(f"{_MEM_CAP_ENV} must be a positive integer, got {raw!r}")
+        raise AmplitudeCapError(f"{_MEM_CAP_ENV} must be a positive integer, got {raw!r}")
     return cap
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .kernels import eval_W
-from .numtheory import Semiprime, factor_semiprime, gcd_conv
+from .numtheory import Semiprime, factor_semiprime, gcd_conv, nontrivial_divisor
 from .states import (
     BipartiteState,
     Distribution,
@@ -42,7 +42,7 @@ from .states import (
     sample_cdf,
     sample_outcome,
 )
-from .trials import DriverResult, TrialRecord, trial_rng
+from .trials import DriverResult, TrialRecord, drive
 
 MAX_QUBIT_BITS = 20
 _BLOCK_ENTRIES = 1 << 20  # residue rows per block are sized against this
@@ -128,26 +128,29 @@ def p_b_distribution(run: SuperpositionRun) -> Distribution:
     return Distribution(np.arange(len(run.pb_probs)), run.pb_probs)
 
 
+def _factor_residues(s: Semiprime) -> np.ndarray:
+    """Mask of the residues 0 .. N-1 that are nonzero multiples of p or q."""
+    gcds = np.gcd(np.arange(s.n), s.n)
+    return (gcds == s.p) | (gcds == s.q)
+
+
 def success_mass(run: SuperpositionRun) -> SuccessMass:
     """Split the exact B marginal by the divisor class of the outcome."""
     _check_exact(run)
     probs = run.pb_probs
-    n, p, q = run.s.n, run.s.p, run.s.q
-    gcds = np.gcd(np.arange(n), n)
-    factor_mask = (gcds == p) | (gcds == q)
+    factor_mask = _factor_residues(run.s)
+    coprime_mask = ~factor_mask
+    coprime_mask[0] = False  # residue 0 is the multiple of N
     zero = float(probs[0])
     factor = float(np.sum(probs[factor_mask]))
-    coprime = float(np.sum(probs[gcds == 1]))
+    coprime = float(np.sum(probs[coprime_mask]))
     return SuccessMass(zero, factor, coprime)
 
 
 def factor_mass_a(run: SuperpositionRun, n0: int) -> float:
     """Probability that the conditional A sample is a nonzero multiple of p or q."""
-    state = _check_exact(run)
-    cond = conditional_a(state, n0)
-    n, p, q = run.s.n, run.s.p, run.s.q
-    gcds = np.gcd(np.arange(n), n)
-    return float(np.sum(cond.probs[(gcds == p) | (gcds == q)]))
+    cond = conditional_a(_check_exact(run), n0)
+    return float(np.sum(cond.probs[_factor_residues(run.s)]))
 
 
 def run_qubit(n: int, q_bits: int) -> SuperpositionRun:
@@ -202,6 +205,11 @@ def _qubit_conditional_probs(run: SuperpositionRun, n0: int) -> np.ndarray:
     return folded[np.arange(size) % n] / size
 
 
+def peak_index(n_bin: int, n: int, size: int) -> int:
+    """The j whose peak j * size / n lies nearest the bin; a tie rounds half to even."""
+    return round(n_bin * n / size)
+
+
 def conditional_after_peak(run: SuperpositionRun, n_peak: int) -> Distribution:
     """A-register distribution of a qubit run after measuring a marginal peak.
 
@@ -213,7 +221,7 @@ def conditional_after_peak(run: SuperpositionRun, n_peak: int) -> Distribution:
         raise ValueError("operation requires a qubit-register run")
     size = 1 << run.q_bits
     n = run.s.n
-    j = round(n_peak * n / size)
+    j = peak_index(n_peak, n, size)
     if abs(n_peak - j * size / n) > 0.5 + 1e-12:
         raise ValueError(
             f"outcome {n_peak} is not within half a bin of any multiple of 2**Q/N"
@@ -274,54 +282,30 @@ def useful_mass_closed_reference(s: Semiprime) -> Fraction:
     )
 
 
-def _useful_gcd(value: int, n: int) -> int | None:
-    g = gcd_conv(value % n, n)
-    return g if 1 < g < n else None
-
-
-def sample_factor_driver(
-    n: int,
-    mode: str,
-    max_trials: int,
-    seed: int,
-    q_bits: int | None = None,
-    *,
-    run: SuperpositionRun | None = None,
-) -> DriverResult:
-    """Measure-B-then-maybe-A loop returning the first nontrivial gcd found.
+def sample_factor_driver(run: SuperpositionRun, max_trials: int, seed: int) -> DriverResult:
+    """Measure-B-then-maybe-A trials on a prepared run, until one finds a nontrivial gcd.
 
     Exact mode: a measured n0 sharing a divisor with N reveals it at once;
     otherwise one A sample is taken from the conditional and its gcd
-    tested.  Qubit mode first maps the measured bin to j = round(n0*N/2**Q)
-    and tests gcd(j, N), since the marginal concentrates at bins j*2**Q/N.
-    A caller that already prepared the run for (n, mode, q_bits) passes it
-    as run, so the state and its marginal are not built twice.
+    tested.  Qubit mode first maps the measured bin to the index j of the
+    nearest peak j*2**Q/N and tests gcd(j, N), since the marginal
+    concentrates there.  The run's marginal is built once, on first use.
     """
-    if mode not in ("exact", "qubit"):
-        raise ValueError(f"unknown driver mode {mode!r}")
-    if mode == "qubit" and q_bits is None:
-        raise ValueError("qubit mode needs q_bits")
-    if run is None:
-        run = run_exact(n) if mode == "exact" else run_qubit(n, q_bits)
-    elif (run.n, run.mode, run.q_bits) != (n, mode, q_bits if mode == "qubit" else None):
-        raise ValueError("prepared run does not match the driver's n, mode and q_bits")
+    n = run.n
     pb_cdf = np.cumsum(run.pb_probs)
-    size = len(pb_cdf)
-    records = []
-    for t in range(max_trials):
-        rng = trial_rng(seed, t)
+
+    def trial(t: int, rng: np.random.Generator) -> TrialRecord:
         n0 = sample_cdf(pb_cdf, rng)
-        j = n0 if mode == "exact" else round(n0 * n / size) % n
-        factor = _useful_gcd(j, n)
+        # exact mode: size N, so j = n0
+        factor = nontrivial_divisor(peak_index(n0, n, len(pb_cdf)), n)
         ell = None
         if factor is None:
-            if mode == "exact":
+            if run.mode == "exact":
                 cond = conditional_a(run.state, n0).probs
             else:
                 cond = _qubit_conditional_probs(run, n0)
             ell = sample_outcome(cond, rng)
-            factor = _useful_gcd(ell, n)
-        records.append(TrialRecord(t, n0, outcome_a=ell, factor=factor))
-        if factor is not None:
-            return DriverResult(n, True, factor, t + 1, max_trials, seed, tuple(records))
-    return DriverResult(n, False, None, max_trials, max_trials, seed, tuple(records))
+            factor = nontrivial_divisor(ell, n)
+        return TrialRecord(t, n0, outcome_a=ell, factor=factor)
+
+    return drive(n, max_trials, seed, trial)

@@ -1,4 +1,4 @@
-"""Seed plumbing and result records shared by both factoring drivers.
+"""Seed plumbing, the seeded trial loop and the records of both factoring drivers.
 
 Randomness is derived from a single 64-bit seed through the counter-based
 Philox generator keyed on (seed, trial index), so trial t sees the same
@@ -7,6 +7,7 @@ stream whether trials run serially, in parallel, or are re-run alone.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,3 +53,19 @@ class DriverResult:
     max_trials: int
     seed: int
     records: tuple[TrialRecord, ...] = field(default_factory=tuple)
+
+
+def drive(
+    n: int,
+    max_trials: int,
+    seed: int,
+    trial: Callable[[int, np.random.Generator], TrialRecord],
+) -> DriverResult:
+    """Run trial(t, trial_rng(seed, t)) for t < max_trials, up to the first record with a factor."""
+    records = []
+    for t in range(max_trials):
+        rec = trial(t, trial_rng(seed, t))
+        records.append(rec)
+        if rec.factor is not None:
+            return DriverResult(n, True, rec.factor, t + 1, max_trials, seed, tuple(records))
+    return DriverResult(n, False, None, max_trials, max_trials, seed, tuple(records))

@@ -268,7 +268,7 @@ def test_criterion_10_end_to_end_factoring():
         for seed in range(1, 11):
             res = factor_driver(n, q_bits, 200, seed)
             assert res.succeeded and res.factor in (s.p, s.q), (n, seed)
-            res2 = sample_factor_driver(n, "exact", 100, seed)
+            res2 = sample_factor_driver(run_exact(n), 100, seed)
             assert res2.succeeded and res2.factor in (s.p, s.q), (n, seed)
             total_trials += res.trials_run + res2.trials_run
     _verdict(

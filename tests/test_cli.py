@@ -279,6 +279,31 @@ def test_shor_gauss_respects_amplitude_cap(monkeypatch, capsys):
     assert rc == 0 and "# section=branch_probs" in out
 
 
+@pytest.mark.parametrize("cap", ["abc", "0", "-5"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("shor-gauss", "--n", "15", "--q", "8", "--branch", "unit"),
+        ("shor-gauss", "--n", "15", "--q", "8", "--trials", "3"),
+        ("purity", "--n", "15"),
+    ],
+    ids=["shor-gauss-branch", "shor-gauss-trials", "purity"],
+)
+def test_invalid_memory_cap_exits_2(monkeypatch, capsys, cap, args):
+    monkeypatch.setenv("GAUSSHOR_MEM_CAP", cap)
+    rc, out, err = run_main(*args, capsys=capsys)
+    assert rc == 2 and out == ""
+    assert err == f"error: GAUSSHOR_MEM_CAP must be a positive integer, got {cap!r}\n"
+
+
+def test_config_file_unknown_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("n = 91\nq = 14\ntrials = 5\nseeed = 5\n")
+    rc, out, err = run_main("shor-gauss", "--config", str(cfg), capsys=capsys)
+    assert rc == 2 and out == ""
+    assert err == f"error: {cfg}: unknown key 'seeed'\n"
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.conf"
     cfg.write_text(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gausshor.kernels import eval_F_closed
 from gausshor.numtheory import count_upper, factor_semiprime
@@ -16,6 +17,7 @@ from gausshor.shor_gauss import (
     build_state,
     factor_driver,
     min_register_bits,
+    peak_bin,
     peak_mass_bounds,
     peak_positions,
     post_state,
@@ -137,6 +139,7 @@ def test_qft_of_factor_post_state_matches_comb_sums():
 
 def test_peak_positions_rounding():
     # half-up at exact .5 offsets, deduplicated, strictly increasing
+    assert peak_bin(1, 4, 1) == 1 and peak_bin(3, 4, 1) == 2  # 0.5 and 1.5 round up
     assert peak_positions(7, 11) == (293, 585, 878, 1170, 1463, 1755)
     assert peak_positions(2, 3) == (4,)  # 8/2 exact
     pos = peak_positions(91, 11)
@@ -225,6 +228,31 @@ def test_recover_divisor_uniqueness_exhaustive():
                 m = (2 * j * size + f) // (2 * f)
                 cand = recover_divisor(m, q_bits, n)
                 assert cand.gcd_with_n == f, (n, f, j)
+
+
+def _odd_semiprimes(limit: int) -> list[tuple[int, int, int]]:
+    """(p*q, p, q) for odd primes p < q with p*q <= limit, by trial division."""
+    odd = range(3, limit // 3 + 1, 2)
+    primes = [k for k in odd if all(k % d for d in range(3, math.isqrt(k) + 1, 2))]
+    return [(p * q, p, q) for i, p in enumerate(primes) for q in primes[i + 1:] if p * q <= limit]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_odd_semiprimes(400)), st.data())
+def test_recover_divisor_reads_every_peak_at_the_threshold(npq, data):
+    # at 2**Q > N**2 the nearest bin of j/r decodes to r / gcd(j, r)
+    # (Shor 1997, SIAM J. Comput. 26:1484), for r a factor or N itself
+    n, p, q = npq
+    r = data.draw(st.sampled_from((p, q, n)), label="r")
+    j = data.draw(st.integers(1, r - 1), label="j")
+    q_bits = min_register_bits(n) + data.draw(st.integers(0, 1), label="extra bit")
+    assert recover_divisor(peak_bin(j, r, q_bits), q_bits, n).denominator == r // math.gcd(j, r)
+
+
+def test_recover_divisor_misreads_below_the_threshold():
+    # one bit short of 2**Q > 15**2, the first peak of period 15 reads as 1/14
+    assert min_register_bits(15) - 1 == 7 and peak_bin(1, 15, 7) == 9
+    assert recover_divisor(9, 7, 15).denominator == 14
 
 
 def test_empirical_branch_frequencies():

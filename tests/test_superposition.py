@@ -21,6 +21,7 @@ from gausshor.superposition import (
     factor_mass_a,
     p_b_closed_reference,
     p_b_distribution,
+    peak_index,
     qubit_marginal,
     run_exact,
     run_qubit,
@@ -241,6 +242,15 @@ def test_conditional_after_peak_structure():
         conditional_after_peak(run, 12)
 
 
+@pytest.mark.parametrize("q_bits", [9, 14])
+def test_peak_index_rounds_half_to_even(q_bits):
+    # the bin 2**(Q-1) sits at j = 10.5 for N = 21 and maps to 10, not 11
+    size = 1 << q_bits
+    assert peak_index(size // 2, 21, size) == 10
+    assert peak_index(size // 2 + 1, 21, size) == 11
+    assert [peak_index(n0, 91, 91) for n0 in range(91)] == list(range(91))  # exact: j = n0
+
+
 def test_ell_zero_row_is_delta():
     # with no quadratic phase the B row Fourier-transforms to a delta at 0
     row = np.fft.ifft(np.ones(512, dtype=np.complex128))
@@ -248,29 +258,25 @@ def test_ell_zero_row_is_delta():
 
 
 def test_sample_factor_driver_exact(run91):
-    res = sample_factor_driver(91, "exact", 100, 7)
+    res = sample_factor_driver(run91, 100, 7)
     assert res.succeeded and res.factor in (7, 13)
-    res2 = sample_factor_driver(91, "exact", 100, 7)
+    res2 = sample_factor_driver(run91, 100, 7)
     assert res == res2
     with pytest.raises(NotSemiprimeError):
-        sample_factor_driver(14, "exact", 10, 1)
-    res = sample_factor_driver(91, "exact", 0, 1)
+        sample_factor_driver(run_exact(14), 10, 1)
+    res = sample_factor_driver(run91, 0, 1)
     assert not res.succeeded and res.trials_run == 0
 
 
 def test_sample_factor_driver_qubit():
-    res = sample_factor_driver(15, "qubit", 100, 3, q_bits=9)
+    res = sample_factor_driver(run_qubit(15, 9), 100, 3)
     assert res.succeeded and res.factor in (3, 5)
-    with pytest.raises(ValueError):
-        sample_factor_driver(15, "qubit", 10, 1)  # q_bits missing
-    with pytest.raises(ValueError):
-        sample_factor_driver(15, "bogus", 10, 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4])
 def test_sample_factor_driver_qubit_at_91(seed):
     # seeds 0 and 4 measure n0 = 0 and so sample A from the conditional column
-    res = sample_factor_driver(91, "qubit", 50, seed, q_bits=14)
+    res = sample_factor_driver(run_qubit(91, 14), 50, seed)
     assert res.succeeded and res.factor in (7, 13)
     assert 1 <= res.trials_run <= res.max_trials == 50
     assert len(res.records) == res.trials_run
@@ -323,18 +329,14 @@ def test_qubit_run_builds_marginal_on_demand(monkeypatch):
     ],
 )
 def test_sample_factor_driver_qubit_records_pinned(seed, factor, records):
-    # recorded before the qubit marginal became lazy; a prepared run gives the same
-    res = sample_factor_driver(21, "qubit", 40, seed, q_bits=9)
+    # recorded before the qubit marginal became lazy; a rerun on the same run,
+    # whose marginal is then built, gives the same
+    run = run_qubit(21, 9)
+    res = sample_factor_driver(run, 40, seed)
     assert res.factor == factor
     assert [(r.outcome_b, r.outcome_a, r.factor) for r in res.records] == records
-    assert sample_factor_driver(21, "qubit", 40, seed, q_bits=9, run=run_qubit(21, 9)) == res
+    assert sample_factor_driver(run, 40, seed) == res
 
 
 def test_sample_factor_driver_reuses_prepared_run(run91):
-    assert sample_factor_driver(91, "exact", 100, 7, run=run91) == sample_factor_driver(
-        91, "exact", 100, 7
-    )
-    with pytest.raises(ValueError):
-        sample_factor_driver(15, "exact", 10, 1, run=run91)
-    with pytest.raises(ValueError):
-        sample_factor_driver(21, "qubit", 10, 1, q_bits=10, run=run_qubit(21, 9))
+    assert sample_factor_driver(run91, 100, 7) == sample_factor_driver(run_exact(91), 100, 7)

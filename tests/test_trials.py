@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from gausshor.trials import trial_rng
+from gausshor.trials import TrialRecord, drive, trial_rng
 
 
 def test_seeds_above_2_63_do_not_collide():
@@ -26,3 +26,43 @@ def test_stream_matches_list_keyed_philox_below_2_63(seed, trial):
     # the streams documented before keys became uint64 arrays stay put
     reference = np.random.Generator(np.random.Philox(key=[seed, trial]))
     assert np.array_equal(trial_rng(seed, trial).random(4), reference.random(4))
+
+
+def _factor_at(hit: int | None, calls: list):
+    """A trial that records its index and its first draw, and finds a factor at index hit."""
+    def trial(t, rng):
+        calls.append(t)
+        return TrialRecord(t, int(rng.integers(2**62)), factor=7 if t == hit else None)
+
+    return trial
+
+
+def test_drive_stops_at_first_factor():
+    calls = []
+    res = drive(35, 10, 3, _factor_at(2, calls))
+    assert calls == [0, 1, 2]
+    assert (res.n, res.succeeded, res.factor, res.trials_run, res.max_trials, res.seed) == (
+        35, True, 7, 3, 10, 3
+    )
+    assert [r.index for r in res.records] == [0, 1, 2] and res.records[-1].factor == 7
+
+
+def test_drive_exhausts_its_budget():
+    calls = []
+    res = drive(35, 4, 3, _factor_at(None, calls))
+    assert calls == [0, 1, 2, 3] and len(res.records) == 4
+    assert not res.succeeded and res.factor is None and res.trials_run == res.max_trials == 4
+
+
+def test_drive_with_no_budget_runs_no_trial():
+    calls = []
+    res = drive(35, 0, 3, _factor_at(0, calls))
+    assert calls == [] and res.records == ()
+    assert not res.succeeded and res.factor is None and res.trials_run == 0
+
+
+def test_drive_hands_trial_t_its_own_stream():
+    seed = 2**63 + 11
+    res = drive(35, 5, seed, _factor_at(None, []))
+    expected = [int(trial_rng(seed, t).integers(2**62)) for t in range(5)]
+    assert [r.outcome_b for r in res.records] == expected
