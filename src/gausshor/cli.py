@@ -521,6 +521,20 @@ def cmd_purity(cfg: RunConfig) -> int:
     return 0
 
 
+def _sweep_row(raw: int) -> tuple:
+    """One sweep row; its run is released on return, before the next one is built."""
+    run = _checked(superposition.run_exact, _reduce_even(raw))
+    n = run.n
+    return (
+        n,
+        run.s.p,
+        run.s.q,
+        purity_a(run.state),
+        _over_denominator(purity_closed(run.s), n * n),
+        superposition.success_mass(run).total_useful,
+    )
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.n is None:
         raise InputError("--n is required (comma-separated list)")
@@ -534,19 +548,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         "sweep",
         header=("n", "p", "q", "purity", "purity_closed", "useful_mass"),
     )
-    for raw in values:
-        run = _checked(superposition.run_exact, _reduce_even(raw))
-        n = run.n
-        sec.rows.append(
-            (
-                n,
-                run.s.p,
-                run.s.q,
-                purity_a(run.state),
-                _over_denominator(purity_closed(run.s), n * n),
-                superposition.success_mass(run).total_useful,
-            )
-        )
+    sec.rows.extend(_sweep_row(raw) for raw in values)
     emit(cfg, [sec])
     return 0
 

@@ -29,6 +29,7 @@ from .numtheory import Semiprime
 NORM_TOL = 1e-9
 DEFAULT_AMPLITUDE_CAP = 1 << 24
 _MEM_CAP_ENV = "GAUSSHOR_MEM_CAP"
+_GRAM_BLOCK_ENTRIES = 1 << 17
 
 
 class AmplitudeCapError(ValueError):
@@ -69,9 +70,12 @@ def check_amplitude_cap(n_amplitudes: int) -> None:
         )
 
 
-def abs_sq(z: np.ndarray) -> np.ndarray:
-    """Elementwise |z|^2 with one temporary; the same bits as z.real**2 + z.imag**2."""
-    sq = z.real**2
+def abs_sq(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise |z|^2 with one temporary; the same bits as z.real**2 + z.imag**2.
+
+    With out given, the moduli are written there instead of a new array.
+    """
+    sq = np.square(z.real, out=out)
     sq += z.imag**2
     return sq
 
@@ -122,7 +126,8 @@ class BipartiteState:
             raise ValueError(
                 f"amplitude grid {self.amps.shape} != ({self.dim_a}, {self.dim_b})"
             )
-        norm_sq = float(np.sum(abs_sq(self.amps)))
+        flat = self.amps.reshape(-1)
+        norm_sq = float(np.vdot(flat, flat).real)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise StateIntegrityError(f"squared norm {norm_sq!r} deviates from 1")
         self.amps.setflags(write=False)
@@ -254,10 +259,21 @@ def purity_a(state: BipartiteState) -> float:
 
     Computed as sum_{l,l'} |<row_l, row_l'>|^2 over B-amplitude rows.  For a
     pure joint state both reduced purities coincide, so the Gram matrix is
-    taken on the smaller side.
+    taken on the smaller side.  Only the Gram matrix's upper half is formed,
+    in blocks of rows of about 2**17 entries: conj(block) against every row
+    from the block's first one on, so no conjugate copy of the whole grid is
+    made.  The squared moduli go into one float64 d x d array, each strip
+    mirrored below the diagonal (|conj z|^2 has the bits of |z|^2), and the
+    array is summed in the order of the full Gram matrix, with its bits.
     """
     a = state.amps if state.dim_a <= state.dim_b else state.amps.T
-    return float(np.sum(abs_sq(a @ a.conj().T)))
+    d = a.shape[0]
+    sq = np.empty((d, d))
+    for rows in row_blocks(d, d, _GRAM_BLOCK_ENTRIES):
+        start, stop = rows[0], rows[-1] + 1
+        strip = abs_sq(np.conj(a[start:stop]) @ a[start:].T, out=sq[start:stop, start:])
+        sq[stop:, start:stop] = strip[:, stop - start:].T
+    return float(np.sum(sq))
 
 
 def purity_closed(s: Semiprime) -> Fraction:

@@ -157,13 +157,14 @@ def run_qubit(n: int, q_bits: int) -> SuperpositionRun:
     """Prepare the power-of-two variant; its B marginal is built on first use.
 
     Requires N**2 < 2**Q (so the Fourier peaks of the N-comb are uniquely
-    placed) and Q <= 20.
+    placed), Q <= 20 and a register of 2**Q amplitudes within the cap.
     """
     s = factor_semiprime(n)
     if q_bits > MAX_QUBIT_BITS:
         raise ValueError(f"register size 2**{q_bits} beyond register cap 2**{MAX_QUBIT_BITS}")
     if n * n >= 1 << q_bits:
         raise ValueError(f"need n**2 < 2**q_bits, got {n}**2 >= 2**{q_bits}")
+    check_amplitude_cap(1 << q_bits)
     return SuperpositionRun(s=s, mode="qubit", q_bits=q_bits)
 
 

@@ -296,6 +296,19 @@ def test_invalid_memory_cap_exits_2(monkeypatch, capsys, cap, args):
     assert err == f"error: GAUSSHOR_MEM_CAP must be a positive integer, got {cap!r}\n"
 
 
+@pytest.mark.parametrize("cap", ["100", "abc", "0"])
+@pytest.mark.parametrize("report", [("pb",), ("conditional", "--n0", "24")], ids=["pb", "conditional"])
+def test_qubit_mode_respects_amplitude_cap(monkeypatch, capsys, cap, report):
+    monkeypatch.setenv("GAUSSHOR_MEM_CAP", cap)
+    args = ("superposition", "--n", "21", "--mode", "qubit", "--q", "9", "--report", *report)
+    rc, out, err = run_main(*args, capsys=capsys)
+    assert rc == 2 and out == ""
+    if cap == "100":
+        assert err == "error: state with 512 amplitudes exceeds cap 100\n"
+    else:
+        assert err == f"error: GAUSSHOR_MEM_CAP must be a positive integer, got {cap!r}\n"
+
+
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.conf"
     cfg.write_text("n = 91\nq = 14\ntrials = 5\nseeed = 5\n")

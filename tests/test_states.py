@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as hst
 
 from gausshor.kernels import eval_W
 from gausshor.numtheory import factor_semiprime
+from gausshor import states
 from gausshor.states import (
     AmplitudeCapError,
     BipartiteState,
@@ -28,6 +30,7 @@ from gausshor.states import (
     sample_outcome,
     uniform_product,
 )
+from gausshor.superposition import run_exact
 from gausshor.trials import trial_rng
 
 import oracles
@@ -65,6 +68,18 @@ def test_norm_integrity_enforced():
     bad = np.full((2, 2), 0.7, dtype=np.complex128)
     with pytest.raises(StateIntegrityError):
         BipartiteState(2, 2, bad)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_norm_check_threshold(sign):
+    """The 1e-9 tolerance rejects a squared-norm error of 1e-8 and accepts 1e-10."""
+
+    def grid(err):
+        return np.full((6, 10), math.sqrt((1 + sign * err) / 60), dtype=np.complex128)
+
+    with pytest.raises(StateIntegrityError):
+        BipartiteState(6, 10, grid(1e-8))
+    BipartiteState(6, 10, grid(1e-10))
 
 
 def test_quadratic_phase_is_diagonal_unitary():
@@ -182,6 +197,49 @@ def test_purity_examples_and_qft_invariance():
     assert purity_a(qft_b(st1)) == pytest.approx(mu1, abs=1e-9)
     assert purity_closed(s) == Fraction(325, 8281)
     assert purity_closed(factor_semiprime(15)) == Fraction(45, 225)
+
+
+def gram_purity(a: np.ndarray) -> float:
+    """The full-Gram purity formula the blocked purity_a must reproduce."""
+    gram = a @ a.conj().T
+    return float(np.sum(gram.real**2 + gram.imag**2))
+
+
+@pytest.mark.parametrize("n", [15, 21, 91, 221, 899])
+def test_purity_matches_full_gram_bits(n):
+    state = run_exact(n).state
+    assert purity_a(state) == gram_purity(state.amps)
+
+
+def test_purity_test_sizes_cover_uneven_blocks():
+    step = states._GRAM_BLOCK_ENTRIES // 899
+    assert 1 < step < 899 and 899 % step != 0  # several blocks, the last one short
+
+
+@pytest.mark.parametrize("shape", [(5, 9), (9, 5), (300, 700), (700, 300)])
+def test_purity_non_square(shape):
+    """Both orientations; 300 x 700 spans more than one block of rows."""
+    rng = np.random.default_rng(sum(shape))
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+    small = amps if shape[0] <= shape[1] else amps.T
+    expected = gram_purity(small)
+    assert purity_a(BipartiteState(*shape, amps)) == pytest.approx(expected, rel=1e-15, abs=0)
+    assert purity_a(BipartiteState(shape[1], shape[0], amps.T)) == pytest.approx(
+        expected, rel=1e-15, abs=0
+    )
+
+
+def test_purity_peak_allocation_below_one_complex_grid():
+    n = 899
+    state = run_exact(n).state
+    tracemalloc.start()
+    try:
+        purity_a(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n
 
 
 def test_purity_closed_maximal_near_sqrt():
