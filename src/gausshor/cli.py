@@ -297,9 +297,8 @@ def _distribution_section(
     annotate,
     attrs: list[tuple[str, str]] | None = None,
 ) -> Section:
-    keep = dist.probs > 0.0
-    labels = dist.labels[keep]
-    rows = list(zip(labels.tolist(), dist.probs[keep].tolist(), annotate(labels)))
+    labels = np.flatnonzero(dist.probs > 0.0)
+    rows = list(zip(labels.tolist(), dist.probs[labels].tolist(), annotate(labels)))
     return Section(name, attrs or [], ("label", "probability", "annotation"), rows)
 
 

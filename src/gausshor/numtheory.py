@@ -46,7 +46,7 @@ class Semiprime:
         if not (3 <= self.p < self.q):
             raise ValueError(f"need 3 <= p < q, got p={self.p}, q={self.q}")
         for f in (self.p, self.q):
-            if not _is_prime(f):
+            if _trial_factorization(f) != [f]:
                 raise ValueError(f"{f} is not prime")
 
     @property
@@ -116,19 +116,6 @@ def count_upper(numerator: int, denominator: int) -> int:
     if numerator < 1:
         raise ValueError(f"numerator must be >= 1, got {numerator}")
     return numerator // denominator + 1
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _trial_factorization(n: int) -> list[int]:

@@ -189,7 +189,7 @@ def qft_distribution(
 ) -> Distribution:
     """|QFT(post state)|^2 over the 2**Q output bins."""
     vec = qft_vector(post_state(s, q_bits, label, allow_small_register))
-    return Distribution(np.arange(len(vec)), abs_sq(vec))
+    return Distribution(abs_sq(vec))
 
 
 def peak_bin(j: int, period: int, q_bits: int) -> int:
@@ -276,32 +276,28 @@ def peak_mass_bounds(s: Semiprime, q_bits: int) -> PeakMassBounds:
 def recover_divisor(m: int, q_bits: int, n: int) -> DivisorCandidate:
     """Decode a measured Fourier bin into a divisor candidate.
 
-    Runs the continued-fraction expansion of m / 2**Q and keeps the
-    convergent with denominator <= n closest to it; the caller inspects
-    gcd(denominator, n): a value strictly between 1 and n is a factor,
-    anything else means retry.  m = 0 (the DC bin) carries no period
-    information and is rejected.
+    Runs the continued-fraction expansion of m / 2**Q and keeps the last
+    convergent with denominator <= n; successive convergents lie strictly
+    closer to m / 2**Q, so it is also the closest one.  The caller
+    inspects gcd(denominator, n): a value strictly between 1 and n is a
+    factor, anything else means retry.  m = 0 (the DC bin) carries no
+    period information and is rejected.
     """
     size = 1 << q_bits
     if not (0 < m < size):
         raise ValueError(f"bin index must be in (0, {size}), got {m}")
-    target = Fraction(m, size)
-    best: Fraction | None = None
+    if n < 1:
+        raise ValueError(f"no convergent of {m}/{size} has denominator <= {n}")
+    d = 1  # denominator of the first convergent, 0/1
     num, den = m, size
-    h_prev, h = 0, 1  # convergent numerators
     k_prev, k = 1, 0  # convergent denominators
     while den != 0:
         a = num // den
         num, den = den, num - a * den
-        h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
         if k > n:
             break
-        if k >= 1 and (best is None or abs(target - Fraction(h, k)) < abs(target - best)):
-            best = Fraction(h, k)
-    if best is None:
-        raise ValueError(f"no convergent of {m}/{size} has denominator <= {n}")
-    d = best.denominator
+        d = k
     return DivisorCandidate(denominator=d, gcd_with_n=gcd_conv(d, n))
 
 

@@ -135,29 +135,22 @@ class BipartiteState:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Labeled probability vector; labels distinct, mass 1 within 1e-9."""
+    """Probability vector over register values: outcome k has probability probs[k].
 
-    labels: np.ndarray
+    1-d, non-negative, mass 1 within 1e-9, read-only.
+    """
+
     probs: np.ndarray
 
     def __post_init__(self):
-        if self.labels.shape != self.probs.shape or self.labels.ndim != 1:
-            raise ValueError("labels and probs must be matching 1-d arrays")
-        if len(np.unique(self.labels)) != len(self.labels):
-            raise ValueError("labels must be distinct")
+        if self.probs.ndim != 1:
+            raise ValueError("probs must be a 1-d array")
         if np.any(self.probs < 0.0):
             raise ValueError("negative probability")
         total = float(np.sum(self.probs))
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        self.labels.setflags(write=False)
         self.probs.setflags(write=False)
-
-    def prob_of(self, label: int) -> float:
-        hits = np.nonzero(self.labels == label)[0]
-        if len(hits) == 0:
-            raise KeyError(f"label {label} not present")
-        return float(self.probs[hits[0]])
 
 
 @dataclass(frozen=True)
@@ -211,8 +204,7 @@ def qft_b(state: BipartiteState) -> BipartiteState:
 
 def marginal_b(state: BipartiteState) -> Distribution:
     """Probability of each B label: column sums of |amplitude|^2."""
-    probs = np.sum(abs_sq(state.amps), axis=0)
-    return Distribution(np.arange(state.dim_b), probs)
+    return Distribution(np.sum(abs_sq(state.amps), axis=0))
 
 
 def conditional_a(state: BipartiteState, n0: int) -> Distribution:
@@ -223,7 +215,7 @@ def conditional_a(state: BipartiteState, n0: int) -> Distribution:
     mass = float(np.sum(weights))
     if mass <= 1e-12:
         raise ZeroMarginalError(f"outcome {n0} has marginal probability {mass!r}")
-    return Distribution(np.arange(state.dim_a), weights / mass)
+    return Distribution(weights / mass)
 
 
 def collapse_b(state: BipartiteState, n0: int) -> CollapseResult:

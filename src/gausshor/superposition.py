@@ -52,13 +52,12 @@ _BLOCK_ENTRIES = 1 << 20  # residue rows per block are sized against this
 class SuperpositionRun:
     """One prepared instance of the algorithm.
 
-    mode "exact" carries the full N x N post-Fourier state; mode "qubit"
-    carries only the validated (N, Q) of the 2**Q register pair.  Neither
-    holds a B marginal until pb_probs is first read.
+    An exact run carries the full N x N post-Fourier state; a qubit run
+    carries only the validated Q of its 2**Q register pair.  Neither holds
+    a B marginal until pb_probs is first read.
     """
 
     s: Semiprime
-    mode: str
     q_bits: int | None = None
     state: BipartiteState | None = None
 
@@ -69,7 +68,7 @@ class SuperpositionRun:
     @functools.cached_property
     def pb_probs(self) -> np.ndarray:
         """B marginal, built on first use: brute force, or the residue-folded qubit marginal."""
-        if self.mode == "exact":
+        if self.state is not None:
             return marginal_b(self.state).probs
         return qubit_marginal(self.n, self.q_bits)
 
@@ -92,7 +91,7 @@ class SuccessMass:
 
 
 def _check_exact(run: SuperpositionRun) -> BipartiteState:
-    if run.mode != "exact" or run.state is None:
+    if run.state is None:
         raise ValueError("operation requires an exact-dimension run")
     return run.state
 
@@ -120,12 +119,12 @@ def run_exact(n: int) -> SuperpositionRun:
             raise StateIntegrityError(
                 f"amplitude ({ell}, {shift}) disagrees with direct summation"
             )
-    return SuperpositionRun(s=s, mode="exact", state=state)
+    return SuperpositionRun(s=s, state=state)
 
 
 def p_b_distribution(run: SuperpositionRun) -> Distribution:
     """Marginal of the B register: exact brute force, or the residue-folded qubit marginal."""
-    return Distribution(np.arange(len(run.pb_probs)), run.pb_probs)
+    return Distribution(run.pb_probs)
 
 
 def _factor_residues(s: Semiprime) -> np.ndarray:
@@ -165,7 +164,7 @@ def run_qubit(n: int, q_bits: int) -> SuperpositionRun:
     if n * n >= 1 << q_bits:
         raise ValueError(f"need n**2 < 2**q_bits, got {n}**2 >= 2**{q_bits}")
     check_amplitude_cap(1 << q_bits)
-    return SuperpositionRun(s=s, mode="qubit", q_bits=q_bits)
+    return SuperpositionRun(s=s, q_bits=q_bits)
 
 
 def qubit_marginal(n: int, q_bits: int) -> np.ndarray:
@@ -192,7 +191,6 @@ def _qubit_conditional_probs(run: SuperpositionRun, n0: int) -> np.ndarray:
 
     Computed for the N residues l mod N, then repeated across the register.
     """
-    assert run.mode == "qubit" and run.q_bits is not None
     n = run.s.n
     size = 1 << run.q_bits
     if not (0 <= n0 < size):
@@ -203,7 +201,7 @@ def _qubit_conditional_probs(run: SuperpositionRun, n0: int) -> np.ndarray:
     folded = np.empty(n)
     for r in row_blocks(n, size, _BLOCK_ENTRIES):
         folded[r] = abs_sq(roots[(r[:, None] * msq[None, :]) % n] @ linear)
-    return folded[np.arange(size) % n] / size
+    return np.resize(folded, size) / size
 
 
 def peak_index(n_bin: int, n: int, size: int) -> int:
@@ -218,7 +216,7 @@ def conditional_after_peak(run: SuperpositionRun, n_peak: int) -> Distribution:
     resulting distribution over l mirrors the exact-dimension conditional
     at outcome j, up to the two-scale remainder distortion.
     """
-    if run.mode != "qubit" or run.q_bits is None:
+    if run.q_bits is None:
         raise ValueError("operation requires a qubit-register run")
     size = 1 << run.q_bits
     n = run.s.n
@@ -231,7 +229,7 @@ def conditional_after_peak(run: SuperpositionRun, n_peak: int) -> Distribution:
     total = float(np.sum(weights))
     if total <= 1e-12:
         raise ValueError(f"outcome {n_peak} has (near-)zero marginal probability")
-    return Distribution(np.arange(size), weights / total)
+    return Distribution(weights / total)
 
 
 def p_b_closed_reference(s: Semiprime, n0: int) -> Fraction:
@@ -301,7 +299,7 @@ def sample_factor_driver(run: SuperpositionRun, max_trials: int, seed: int) -> D
         factor = nontrivial_divisor(peak_index(n0, n, len(pb_cdf)), n)
         ell = None
         if factor is None:
-            if run.mode == "exact":
+            if run.state is not None:
                 cond = conditional_a(run.state, n0).probs
             else:
                 cond = _qubit_conditional_probs(run, n0)

@@ -62,6 +62,8 @@ def drive(
     trial: Callable[[int, np.random.Generator], TrialRecord],
 ) -> DriverResult:
     """Run trial(t, trial_rng(seed, t)) for t < max_trials, up to the first record with a factor."""
+    if max_trials < 0:
+        raise ValueError(f"trial budget must be >= 0, got {max_trials}")
     records = []
     for t in range(max_trials):
         rec = trial(t, trial_rng(seed, t))

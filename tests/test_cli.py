@@ -73,6 +73,32 @@ def test_module_entry_point():
     assert "gauss-table" in cp.stdout
 
 
+def test_superposition_runs_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma lazily, a costly import that no distribution needs
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    cp = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    if cp.stdout.strip() == "True":
+        pytest.skip("import numpy alone loads numpy.ma")
+    code = (
+        "import contextlib, io, sys\n"
+        "from gausshor.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(sys.argv[1:])\n"
+        "print(rc, 'numpy.ma' in sys.modules)\n"
+    )
+    for args in (
+        ["--mode", "qubit", "--n", "21", "--q", "9", "--report", "conditional", "--n0", "24"],
+        ["--n", "35", "--trials", "5"],
+    ):
+        cp = subprocess.run(
+            [sys.executable, "-c", code, "superposition", *args],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert cp.stdout == "0 False\n", (args, cp.stderr)
+
+
 def test_gauss_table_g_rows_and_annotations(capsys):
     rc, out, _ = run_main("gauss-table", "--n", "35", "--kind", "g", capsys=capsys)
     assert rc == 0

@@ -249,6 +249,42 @@ def test_recover_divisor_reads_every_peak_at_the_threshold(npq, data):
     assert recover_divisor(peak_bin(j, r, q_bits), q_bits, n).denominator == r // math.gcd(j, r)
 
 
+def _closest_convergent_denominator(m: int, size: int, n: int) -> int:
+    """Denominator of the convergent of m/size nearest to it among those with denominator <= n.
+
+    Every convergent is scored by |m/size - h/k| through exact cross
+    multiplication; the first of equally near ones wins.
+    """
+    quotients = []
+    num, den = m, size
+    while den:
+        quotients.append(num // den)
+        num, den = den, num % den
+    best_err, best_k = None, None
+    h_prev, h, k_prev, k = 0, 1, 1, 0
+    for a in quotients:
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+        err = abs(m * k - h * size)  # |m/size - h/k| * size * k
+        if k <= n and (best_k is None or err * best_k < best_err * k):
+            best_err, best_k = err, k
+    return best_k
+
+
+def test_recover_divisor_matches_closest_convergent_exhaustive():
+    cases = 0
+    for q_bits in range(1, 13):
+        size = 1 << q_bits
+        for n in (1, 2, 3, 5, 15, 21, 35, 91, 221, 899, 5000):
+            for m in range(1, size):
+                expected = _closest_convergent_denominator(m, size, n)
+                assert recover_divisor(m, q_bits, n).denominator == expected, (m, q_bits, n)
+                cases += 1
+    assert cases == 89958
+    with pytest.raises(ValueError):
+        recover_divisor(5, 4, 0)
+
+
 def test_recover_divisor_misreads_below_the_threshold():
     # one bit short of 2**Q > 15**2, the first peak of period 15 reads as 1/14
     assert min_register_bits(15) - 1 == 7 and peak_bin(1, 15, 7) == 9

@@ -274,15 +274,14 @@ def test_qft_vector_matches_naive_dft():
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        Distribution(np.array([0, 0]), np.array([0.5, 0.5]))
+        Distribution(np.full((2, 2), 0.25))
     with pytest.raises(ValueError):
-        Distribution(np.array([0, 1]), np.array([0.7, 0.7]))
+        Distribution(np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
-        Distribution(np.array([0, 1]), np.array([1.5, -0.5]))
-    d = Distribution(np.array([3, 5]), np.array([0.25, 0.75]))
-    assert d.prob_of(5) == 0.75
-    with pytest.raises(KeyError):
-        d.prob_of(4)
+        Distribution(np.array([0.7, 0.7]))
+    d = Distribution(np.array([0.25, 0.75]))
+    with pytest.raises(ValueError):
+        d.probs[0] = 0.5
 
 
 def test_states_are_immutable():

@@ -242,6 +242,16 @@ def test_conditional_after_peak_structure():
         conditional_after_peak(run, 12)
 
 
+def test_runs_reject_operations_of_the_other_kind(run91):
+    qubit = run_qubit(21, 9)
+    with pytest.raises(ValueError):
+        success_mass(qubit)
+    with pytest.raises(ValueError):
+        factor_mass_a(qubit, 3)
+    with pytest.raises(ValueError):
+        conditional_after_peak(run91, 0)
+
+
 @pytest.mark.parametrize("q_bits", [9, 14])
 def test_peak_index_rounds_half_to_even(q_bits):
     # the bin 2**(Q-1) sits at j = 10.5 for N = 21 and maps to 10, not 11

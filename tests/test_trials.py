@@ -1,8 +1,11 @@
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from gausshor.shor_gauss import factor_driver
+from gausshor.superposition import run_qubit, sample_factor_driver
 from gausshor.trials import TrialRecord, drive, trial_rng
 
 
@@ -66,3 +69,14 @@ def test_drive_hands_trial_t_its_own_stream():
     res = drive(35, 5, seed, _factor_at(None, []))
     expected = [int(trial_rng(seed, t).integers(2**62)) for t in range(5)]
     assert [r.outcome_b for r in res.records] == expected
+
+
+def test_negative_budget_is_rejected():
+    calls = []
+    with pytest.raises(ValueError):
+        drive(35, -3, 0, _factor_at(None, calls))
+    assert calls == []
+    with pytest.raises(ValueError):
+        factor_driver(91, 14, -3, 0)
+    with pytest.raises(ValueError):
+        sample_factor_driver(run_qubit(21, 9), -3, 0)
