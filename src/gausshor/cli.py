@@ -394,7 +394,14 @@ def _checked(build, *args):
         raise InputError(str(exc)) from exc
 
 
+def _check_trials(cfg: RunConfig) -> None:
+    """A trial budget is a count: 0 runs no driver, a negative one is invalid input."""
+    if cfg.trials < 0:
+        raise InputError(f"--trials must be >= 0, got {cfg.trials}")
+
+
 def cmd_shor_gauss(cfg: RunConfig) -> int:
+    _check_trials(cfg)
     n = _reduce_even(_require_n(cfg))
     s = _checked(factor_semiprime, n)
     q_bits = cfg.q if cfg.q is not None else shor_gauss.min_register_bits(n)
@@ -449,6 +456,7 @@ def _purity_report(run, *lead_rows) -> tuple[Section, str]:
 
 
 def cmd_superposition(cfg: RunConfig) -> int:
+    _check_trials(cfg)
     n = _reduce_even(_require_n(cfg))
     mode = cfg.mode or "exact"
     if mode not in ("exact", "qubit"):

@@ -13,8 +13,10 @@ for, so a report on the conditional column alone never builds it.  Its
 amplitudes depend on the A index l only through the residue l mod N, so
 the marginal takes N residue rows, each one FFT of a quadratic-phase
 vector, and weights each by the number of register rows that share its
-residue.  Residues are processed in fixed blocks, in ascending order, so
-results do not depend on how the work is scheduled.
+residue.  A residue row's phases exp(2*pi*i*r*m^2/N) depend on m only
+through m^2 mod N, so every row is gathered from one N x N root table,
+with no N x 2**Q index grid.  Residues are processed in fixed blocks, in
+ascending order, so results do not depend on how the work is scheduled.
 """
 
 from __future__ import annotations
@@ -167,6 +169,28 @@ def run_qubit(n: int, q_bits: int) -> SuperpositionRun:
     return SuperpositionRun(s=s, q_bits=q_bits)
 
 
+def _residue_rows(n: int, size: int):
+    """(r, rows): the phase rows exp(2*pi*i*r*m^2/N), m < size, of the residues r.
+
+    The phase of (r, m) is entry (r, m^2 mod N) of the N x N table
+    roots[(r*s) mod N], built once, so each block of the fixed row_blocks
+    partition is one C-contiguous gather from it and no index grid is
+    formed.  The table holds N**2 < 2**Q entries, within the register's cap.
+    Every block is gathered into one reused buffer, so rows is valid only
+    until the next block is drawn.
+    """
+    msq = (np.arange(size, dtype=np.int64) ** 2) % n
+    residues = np.arange(n, dtype=np.int64)
+    table = phase_roots(n)[np.outer(residues, residues) % n]
+    blocks = list(row_blocks(n, size, _BLOCK_ENTRIES))
+    buf = np.empty((len(blocks[0]), size), dtype=np.complex128)
+    for r in blocks:
+        rows = buf[: len(r)]
+        # msq < n, so "clip" never clips; unlike "raise" it writes to out unbuffered
+        np.take(table[r], msq, axis=1, out=rows, mode="clip")
+        yield r, rows
+
+
 def qubit_marginal(n: int, q_bits: int) -> np.ndarray:
     """B marginal of the power-of-two variant, folded over residues.
 
@@ -176,12 +200,10 @@ def qubit_marginal(n: int, q_bits: int) -> np.ndarray:
     (M - 1 - r)//N + 1 register rows with residue r.
     """
     size = 1 << q_bits
-    msq = (np.arange(size, dtype=np.int64) ** 2) % n
-    roots = phase_roots(n)
     counts = ((size - 1 - np.arange(n)) // n + 1).astype(np.float64)
     acc = np.zeros(size)
-    for r in row_blocks(n, size, _BLOCK_ENTRIES):
-        rows = np.fft.ifft(roots[(r[:, None] * msq[None, :]) % n], axis=1)
+    for r, rows in _residue_rows(n, size):
+        np.fft.ifft(rows, axis=1, out=rows)
         acc += counts[r] @ abs_sq(rows)
     return acc / size
 
@@ -193,14 +215,10 @@ def _qubit_conditional_probs(run: SuperpositionRun, n0: int) -> np.ndarray:
     """
     n = run.s.n
     size = 1 << run.q_bits
-    if not (0 <= n0 < size):
-        raise ValueError(f"outcome {n0} outside register of size {size}")
-    msq = (np.arange(size, dtype=np.int64) ** 2) % n
-    roots = phase_roots(n)
     linear = np.exp(2j * np.pi * np.arange(size) * n0 / size) / size
     folded = np.empty(n)
-    for r in row_blocks(n, size, _BLOCK_ENTRIES):
-        folded[r] = abs_sq(roots[(r[:, None] * msq[None, :]) % n] @ linear)
+    for r, rows in _residue_rows(n, size):
+        folded[r] = abs_sq(rows @ linear)
     return np.resize(folded, size) / size
 
 
@@ -212,13 +230,16 @@ def peak_index(n_bin: int, n: int, size: int) -> int:
 def conditional_after_peak(run: SuperpositionRun, n_peak: int) -> Distribution:
     """A-register distribution of a qubit run after measuring a marginal peak.
 
-    n_peak must lie within half a bin of some multiple j * 2**Q / N; the
-    resulting distribution over l mirrors the exact-dimension conditional
-    at outcome j, up to the two-scale remainder distortion.
+    n_peak must lie in the register and within half a bin of some multiple
+    j * 2**Q / N; the resulting distribution over l mirrors the
+    exact-dimension conditional at outcome j, up to the two-scale
+    remainder distortion.
     """
     if run.q_bits is None:
         raise ValueError("operation requires a qubit-register run")
     size = 1 << run.q_bits
+    if not (0 <= n_peak < size):
+        raise ValueError(f"outcome {n_peak} outside B register of size {size}")
     n = run.s.n
     j = peak_index(n_peak, n, size)
     if abs(n_peak - j * size / n) > 0.5 + 1e-12:

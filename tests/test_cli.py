@@ -250,6 +250,40 @@ def test_superposition_mode_validation(capsys):
     assert rc == 2  # n0 missing
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("superposition", "--n", "21"), ("shor-gauss", "--n", "35", "--q", "11")],
+    ids=["superposition", "shor-gauss"],
+)
+def test_negative_trials_exit_2(tmp_path, capsys, args):
+    rc, out, err = run_main(*args, "--trials", "-3", capsys=capsys)
+    assert rc == 2 and out == ""
+    assert err == "error: --trials must be >= 0, got -3\n"
+    conf = tmp_path / "run.conf"
+    conf.write_text("trials = -3\n")
+    rc, out, err = run_main(*args, "--config", str(conf), capsys=capsys)
+    assert rc == 2 and out == ""
+    assert err == "error: --trials must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize(
+    "mode, n0, size",
+    [
+        (("--mode", "exact"), -1, 91),
+        (("--mode", "qubit", "--q", "14"), -1, 16384),
+        (("--mode", "qubit", "--q", "14"), 16384, 16384),
+    ],
+    ids=["exact", "qubit-negative", "qubit-past-end"],
+)
+def test_conditional_outcome_outside_register_exit_2(capsys, mode, n0, size):
+    rc, out, err = run_main(
+        "superposition", "--n", "91", *mode, "--report", "conditional", "--n0", str(n0),
+        capsys=capsys,
+    )
+    assert rc == 2 and out == ""
+    assert err == f"error: outcome {n0} outside B register of size {size}\n"
+
+
 def test_purity_command(tmp_path, capsys):
     out_file = tmp_path / "p.csv"
     rc, out, _ = run_main("purity", "--n", "91", "--output", str(out_file), capsys=capsys)

@@ -11,6 +11,7 @@ from gausshor.states import (
     conditional_a,
     marginal_b,
     qft_b,
+    row_blocks,
     sample_outcome,
     uniform_product,
 )
@@ -189,6 +190,40 @@ def test_qubit_conditional_fold_matches_two_scale_oracle(n):
         for ell in range(2 * n):
             expected = abs(oracles.two_scale_direct(n0, ell, n, size)) ** 2 / size
             assert abs(col[ell] - expected) < 1e-12
+
+
+def _index_grid_rows(n, size):
+    """Residue rows from a phase-index grid per block, the formula the root table replaced."""
+    msq = (np.arange(size, dtype=np.int64) ** 2) % n
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    for r in row_blocks(n, size, superposition._BLOCK_ENTRIES):
+        yield r, roots[(r[:, None] * msq[None, :]) % n]
+
+
+@pytest.mark.parametrize("n, q_bits", [(21, 9), (91, 14)])
+def test_qubit_marginal_root_table_keeps_index_grid_bits(n, q_bits):
+    size = 1 << q_bits
+    counts = ((size - 1 - np.arange(n)) // n + 1).astype(np.float64)
+    acc = np.zeros(size)
+    for r, rows in _index_grid_rows(n, size):
+        rows = np.fft.ifft(rows, axis=1)
+        acc += counts[r] @ (rows.real**2 + rows.imag**2)
+    assert np.array_equal(qubit_marginal(n, q_bits), acc / size)
+
+
+def test_qubit_conditional_root_table_keeps_index_grid_bits():
+    n, q_bits = 91, 14
+    size = 1 << q_bits
+    run = run_qubit(n, q_bits)
+    peaks = [round(j * size / n) for j in range(n)]
+    for n0 in peaks + [1, 7, 1801, 5000, size - 1]:
+        linear = np.exp(2j * np.pi * np.arange(size) * n0 / size) / size
+        folded = np.empty(n)
+        for r, rows in _index_grid_rows(n, size):
+            amps = rows @ linear
+            folded[r] = amps.real**2 + amps.imag**2
+        expected = np.resize(folded, size) / size
+        assert np.array_equal(_qubit_conditional_probs(run, n0), expected), n0
 
 
 def test_qubit_marginal_peaks():
