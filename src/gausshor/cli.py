@@ -24,7 +24,7 @@ import numpy as np
 from . import shor_gauss, superposition
 from .kernels import eval_G, eval_truncated, eval_W, g_of
 from .numtheory import Semiprime, factor_semiprime
-from .states import AmplitudeCapError, Distribution, conditional_a, purity_a, purity_closed
+from .states import AmplitudeCapError, Distribution, conditional_a, purity_closed
 
 SCHEMA_VERSION = 1
 
@@ -444,7 +444,7 @@ def cmd_shor_gauss(cfg: RunConfig) -> int:
 
 def _purity_report(run, *lead_rows) -> tuple[Section, str]:
     """The purity section of an exact run, and its one-line summary."""
-    measured = purity_a(run.state)
+    measured = superposition.purity(run)
     closed = purity_closed(run.s)
     closed_text = _over_denominator(closed, run.n * run.n)
     rows = [*lead_rows, ("measured", measured), ("closed", closed_text),
@@ -536,7 +536,7 @@ def _sweep_row(raw: int) -> tuple:
         n,
         run.s.p,
         run.s.q,
-        purity_a(run.state),
+        superposition.purity(run),
         _over_denominator(purity_closed(run.s), n * n),
         superposition.success_mass(run).total_useful,
     )

@@ -203,8 +203,21 @@ def qft_b(state: BipartiteState) -> BipartiteState:
 
 
 def marginal_b(state: BipartiteState) -> Distribution:
-    """Probability of each B label: column sums of |amplitude|^2."""
-    return Distribution(np.sum(abs_sq(state.amps), axis=0))
+    """Probability of each B label: column sums of |amplitude|^2.
+
+    The squared moduli are formed a block of rows at a time, in blocks of
+    about 2**17 entries, so no dim_a x dim_b temporary is made.  The column
+    totals so far are added into each block's first row before the block is
+    summed down its rows, so every column is summed row by row in order,
+    with the bits of one np.sum over the full |amplitude|^2 grid.
+    """
+    total = None
+    for rows in row_blocks(state.dim_a, state.dim_b, _GRAM_BLOCK_ENTRIES):
+        block = abs_sq(state.amps[rows[0] : rows[-1] + 1])
+        if total is not None:
+            block[0] += total
+        total = np.sum(block, axis=0)
+    return Distribution(total)
 
 
 def conditional_a(state: BipartiteState, n0: int) -> Distribution:

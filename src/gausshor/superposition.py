@@ -6,7 +6,10 @@ amplitudes proportional to the shifted Gauss sums W_n(l).  Measuring B
 then hands A a distribution over trial factors whose enhanced points (or
 exact zeros) mark the divisors of N.
 
-The exact run materializes the N x N grid in one pass.  The qubit variant
+The exact run materializes the N x N grid in one pass.  Its rows have a
+circulant Gram matrix, G(l' - l, N) / N**2, so its purity takes one Gram
+row, O(N**2), instead of the O(N**3) Gram matrix; three more rows are
+checked against that one for circulance.  The qubit variant
 works on two registers of size 2**Q > N**2 instead; its grid is never
 materialized, and a qubit run carries no B marginal until one is asked
 for, so a report on the conditional column alone never builds it.  Its
@@ -48,6 +51,9 @@ from .trials import DriverResult, TrialRecord, drive
 
 MAX_QUBIT_BITS = 20
 _BLOCK_ENTRIES = 1 << 20  # residue rows per block are sized against this
+# Gram entries are at most 1/N, a row's squared norm; exact runs depart from
+# circulance by under 1e-16, a row with permuted entries by about N**-1.5
+_CIRCULANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -154,6 +160,29 @@ def factor_mass_a(run: SuperpositionRun, n0: int) -> float:
     return float(np.sum(cond.probs[_factor_residues(run.s)]))
 
 
+def purity(run: SuperpositionRun) -> float:
+    """Purity Tr(rho_A^2) of an exact run, from one row of its circulant Gram matrix.
+
+    The Fourier step on B is unitary, so the Gram matrix G[l, l'] =
+    <row_l, row_l'> of the run's rows is that of the phase grid,
+    G(l' - l, N) / N**2: circulant in (l' - l) mod N.  Hence Tr(rho_A^2) =
+    N * sum_l |G[0, l]|^2, from the one product g = a @ conj(a[0]).  Rows
+    l = 1, N//3 and N-1 of the Gram matrix are formed too and must equal g
+    rolled by l; each reads every row of the grid, so a corrupted row
+    raises StateIntegrityError.
+    """
+    a = _check_exact(run).amps
+    n = run.n
+    g = a @ np.conj(a[0])
+    for ell in (1, n // 3, n - 1):
+        residual = float(np.max(np.abs(a @ np.conj(a[ell]) - np.roll(g, ell))))
+        if residual > _CIRCULANCE_TOL:
+            raise StateIntegrityError(
+                f"Gram row {ell} departs from the rolled row 0 by {residual!r}"
+            )
+    return n * float(np.sum(abs_sq(g)))
+
+
 def run_qubit(n: int, q_bits: int) -> SuperpositionRun:
     """Prepare the power-of-two variant; its B marginal is built on first use.
 
@@ -215,7 +244,8 @@ def _qubit_conditional_probs(run: SuperpositionRun, n0: int) -> np.ndarray:
     """
     n = run.s.n
     size = 1 << run.q_bits
-    linear = np.exp(2j * np.pi * np.arange(size) * n0 / size) / size
+    # m * n0 < 2**40 is reduced exactly, so the phases lose no bits to a large argument
+    linear = phase_roots(size)[(np.arange(size, dtype=np.int64) * n0) % size] / size
     folded = np.empty(n)
     for r, rows in _residue_rows(n, size):
         folded[r] = abs_sq(rows @ linear)

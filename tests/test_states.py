@@ -131,6 +131,23 @@ def test_marginal_b_examples():
     assert np.sum(mb.probs) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [437, 899])
+def test_marginal_b_blocks_keep_full_grid_bits(n):
+    state = run_exact(n).state
+    assert states._GRAM_BLOCK_ENTRIES // n < n  # several row blocks
+    assert np.array_equal(marginal_b(state).probs, np.sum(states.abs_sq(state.amps), axis=0))
+
+
+@pytest.mark.parametrize("shape", [(700, 300), (300, 700), (3, 150_000)])
+def test_marginal_b_blocks_keep_full_grid_bits_non_square(shape):
+    """(3, 150000) has rows longer than a block: one row per block."""
+    rng = np.random.default_rng(sum(shape))
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+    assert np.array_equal(marginal_b(BipartiteState(*shape, amps)).probs,
+                          np.sum(states.abs_sq(amps), axis=0))
+
+
 def test_measure_b_product_state_independent_of_outcome():
     st = uniform_product(5, 4)
     for seed in range(4):

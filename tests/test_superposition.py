@@ -7,9 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from gausshor.numtheory import NotSemiprimeError
 from gausshor.states import (
+    BipartiteState,
+    StateIntegrityError,
     apply_quadratic_phase,
     conditional_a,
     marginal_b,
+    purity_a,
+    purity_closed,
     qft_b,
     row_blocks,
     sample_outcome,
@@ -192,6 +196,19 @@ def test_qubit_conditional_fold_matches_two_scale_oracle(n):
             assert abs(col[ell] - expected) < 1e-12
 
 
+@pytest.mark.parametrize("j", [90, 45])  # N - 1 and N // 2
+def test_qubit_conditional_phase_reduced_exactly(j):
+    """At Q = 14 an unreduced phase index m * n0 loses about 1e-13 of the column's peak."""
+    n, q_bits = 91, 14
+    size = 1 << q_bits
+    n0 = (2 * j * size + n) // (2 * n)  # nearest bin to j * 2**Q / N
+    col = _qubit_conditional_probs(run_qubit(n, q_bits), n0)
+    expected = np.array(
+        [abs(oracles.two_scale_direct(n0, ell, n, size)) ** 2 / size for ell in range(n)]
+    )
+    assert np.max(np.abs(col[:n] - expected)) <= 1e-13 * np.max(expected)
+
+
 def _index_grid_rows(n, size):
     """Residue rows from a phase-index grid per block, the formula the root table replaced."""
     msq = (np.arange(size, dtype=np.int64) ** 2) % n
@@ -217,7 +234,8 @@ def test_qubit_conditional_root_table_keeps_index_grid_bits():
     run = run_qubit(n, q_bits)
     peaks = [round(j * size / n) for j in range(n)]
     for n0 in peaks + [1, 7, 1801, 5000, size - 1]:
-        linear = np.exp(2j * np.pi * np.arange(size) * n0 / size) / size
+        phase = (np.arange(size, dtype=np.int64) * n0) % size
+        linear = np.exp(2j * np.pi * np.arange(size) / size)[phase] / size
         folded = np.empty(n)
         for r, rows in _index_grid_rows(n, size):
             amps = rows @ linear
@@ -285,6 +303,8 @@ def test_runs_reject_operations_of_the_other_kind(run91):
         factor_mass_a(qubit, 3)
     with pytest.raises(ValueError):
         conditional_after_peak(run91, 0)
+    with pytest.raises(ValueError):
+        superposition.purity(qubit)
 
 
 @pytest.mark.parametrize("q_bits", [9, 14])
@@ -385,3 +405,28 @@ def test_sample_factor_driver_qubit_records_pinned(seed, factor, records):
 
 def test_sample_factor_driver_reuses_prepared_run(run91):
     assert sample_factor_driver(run91, 100, 7) == sample_factor_driver(run_exact(91), 100, 7)
+
+
+# the moduli of the benchmark's sweep
+SWEEP_NS = (15, 21, 35, 91, 221, 899, 1147, 1763)
+
+
+@pytest.mark.parametrize("n", SWEEP_NS)
+def test_purity_one_gram_row_matches_full_gram_and_closed_form(n):
+    run = run_exact(n)
+    measured = superposition.purity(run)
+    assert abs(measured - purity_a(run.state)) <= 1e-15
+    assert abs(measured - float(purity_closed(run.s))) <= 1e-15
+    if n <= 91:
+        assert abs(measured - oracles.purity_brute(n)) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [2, 7, 45, 89])  # not 0, 1, N//3 = 30 or N-1 = 90
+def test_purity_rejects_a_permuted_row(run91, k):
+    """Permuting one row keeps the norm but breaks the Gram matrix's circulance."""
+    n = run91.n
+    amps = run91.state.amps.copy()
+    amps[k] = amps[k, np.random.default_rng(k).permutation(n)]
+    mutant = superposition.SuperpositionRun(s=run91.s, state=BipartiteState(n, n, amps))
+    with pytest.raises(StateIntegrityError):
+        superposition.purity(mutant)
