@@ -17,11 +17,8 @@ from .kernels import (
     g_of,
 )
 from .numtheory import (
-    GcdCase,
-    GcdClass,
     NotSemiprimeError,
     Semiprime,
-    classify_gcd,
     count_upper,
     factor_semiprime,
     gcd_conv,
@@ -35,7 +32,6 @@ from .shor_gauss import (
     analyze_peaks,
     b_labels,
     branch_probs,
-    build_state,
     factor_driver,
     min_register_bits,
     peak_mass_bounds,
@@ -48,21 +44,17 @@ from .shor_gauss import (
 from .states import (
     AmplitudeCapError,
     BipartiteState,
-    CollapseResult,
     Distribution,
     StateIntegrityError,
     ZeroMarginalError,
     amplitude_cap,
     apply_quadratic_phase,
-    collapse_b,
     conditional_a,
     marginal_b,
-    measure_b,
     purity_a,
     purity_closed,
     qft_b,
     qft_vector,
-    qft_vector_inverse,
     sample_outcome,
     uniform_product,
 )

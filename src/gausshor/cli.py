@@ -7,7 +7,8 @@ to the same doubles and repeated runs with one seed are byte-identical.
 Both formats render each section column by column through one cell
 formatter, which formats each distinct value of a column once.
 
-Exit codes: 0 success, 1 driver exhausted its trial budget, 2 invalid input.
+Exit codes: 0 success, 1 driver exhausted its trial budget, 2 invalid input
+or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -264,8 +265,11 @@ def render_json(cfg: RunConfig, sections: list[Section]) -> str:
 def emit(cfg: RunConfig, sections: list[Section]) -> None:
     text = (render_csv if cfg.format == "csv" else render_json)(cfg, sections)
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output file {cfg.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 DEFAULT_FACTOR_CAP = 10**6
 
@@ -49,26 +48,6 @@ class Semiprime:
             if _trial_factorization(f) != [f]:
                 raise ValueError(f"{f} is not prime")
 
-    @property
-    def coprime_count(self) -> int:
-        """Number of residues in [0, n) sharing no divisor with n."""
-        return (self.p - 1) * (self.q - 1)
-
-
-class GcdCase(Enum):
-    UNIT = "unit"
-    SHARES_P = "shares-p"
-    SHARES_Q = "shares-q"
-    MULTIPLE_OF_N = "multiple-of-n"
-
-
-@dataclass(frozen=True)
-class GcdClass:
-    """Classification of a residue by the divisor it shares with a semiprime."""
-
-    case: GcdCase
-    gcd: int
-
 
 def gcd_conv(a: int, n: int) -> int:
     """Greatest common divisor with the convention gcd_conv(0, n) = n.
@@ -87,20 +66,6 @@ def nontrivial_divisor(value: int, n: int) -> int | None:
     """gcd(value mod n, n) when it is a proper divisor, 1 < g < n; otherwise None."""
     g = gcd_conv(value % n, n)
     return g if 1 < g < n else None
-
-
-def classify_gcd(ell: int, s: Semiprime) -> GcdClass:
-    """Sort a residue into the four divisor classes of a semiprime."""
-    g = gcd_conv(ell % s.n, s.n)
-    if g == s.n:
-        case = GcdCase.MULTIPLE_OF_N
-    elif g == s.p:
-        case = GcdCase.SHARES_P
-    elif g == s.q:
-        case = GcdCase.SHARES_Q
-    else:
-        case = GcdCase.UNIT
-    return GcdClass(case, g)
 
 
 def count_upper(numerator: int, denominator: int) -> int:

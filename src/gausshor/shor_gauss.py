@@ -26,14 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numtheory import Semiprime, count_upper, factor_semiprime, gcd_conv, nontrivial_divisor
-from .states import (
-    BipartiteState,
-    Distribution,
-    abs_sq,
-    check_amplitude_cap,
-    qft_vector,
-    sample_cdf,
-)
+from .states import Distribution, abs_sq, check_amplitude_cap, qft_vector, sample_cdf
 from .trials import DriverResult, TrialRecord, drive
 
 
@@ -118,23 +111,6 @@ def b_labels(s: Semiprime) -> tuple[int, int, int, int]:
     return (1, s.p, s.q, s.n)
 
 
-def build_state(
-    s: Semiprime, q_bits: int, allow_small_register: bool = False
-) -> BipartiteState:
-    """Joint state 2**(-Q/2) sum_l |l>_A |g(l, N)>_B over the four B labels."""
-    _check_register(s, q_bits, allow_small_register)
-    dim_a = 1 << q_bits
-    check_amplitude_cap(dim_a * 4)
-    gcds = np.gcd(np.arange(dim_a, dtype=np.int64) % s.n, s.n)
-    label_index = np.zeros(dim_a, dtype=np.int64)  # default: label 1
-    label_index[gcds == s.p] = 1
-    label_index[gcds == s.q] = 2
-    label_index[gcds == s.n] = 3
-    amps = np.zeros((dim_a, 4), dtype=np.complex128)
-    amps[np.arange(dim_a), label_index] = 1.0 / math.sqrt(dim_a)
-    return BipartiteState(dim_a, 4, amps)
-
-
 def branch_probs(
     s: Semiprime, q_bits: int, allow_small_register: bool = False
 ) -> list[BranchOutcome]:
@@ -206,9 +182,7 @@ def peak_positions(period: int, q_bits: int) -> tuple[int, ...]:
     return tuple(sorted({peak_bin(j, period, q_bits) for j in range(1, period)}))
 
 
-def analyze_peaks(
-    dist: Distribution, period: int, q_bits: int, modulus: int | None = None
-) -> PeakReport:
+def analyze_peaks(dist: Distribution, period: int, q_bits: int, modulus: int) -> PeakReport:
     """Measure how much probability sits on the comb of a candidate period.
 
     ``modulus`` (usually the number under test) fixes the reference comb
@@ -222,11 +196,8 @@ def analyze_peaks(
     on = dist.probs[list(positions)]
     mass = float(np.sum(on))
     max_on = float(np.max(on)) if len(on) else 0.0
-    max_off = 0.0
-    if modulus is not None:
-        off_bins = [b for b in peak_positions(modulus, q_bits) if b not in set(positions)]
-        if off_bins:
-            max_off = float(np.max(dist.probs[off_bins]))
+    off_bins = [b for b in peak_positions(modulus, q_bits) if b not in set(positions)]
+    max_off = float(np.max(dist.probs[off_bins])) if off_bins else 0.0
     return PeakReport(
         period=period,
         positions=positions,
@@ -311,16 +282,13 @@ def _branch_table(s: Semiprime, q_bits: int) -> tuple[tuple[BranchOutcome, ...],
 
 
 @lru_cache(maxsize=4)
-def _comb_cdf(s: Semiprime, q_bits: int, label: int, fourier: bool) -> np.ndarray:
-    """Read-only CDF of |QFT(post state)|^2 if fourier, else of |post state|^2.
+def _unit_cdf(s: Semiprime, q_bits: int) -> np.ndarray:
+    """Read-only CDF of the unit branch's spectrum |QFT(coprime comb)|^2.
 
     Callers check the register and the amplitude cap before each lookup;
     at most four tables of 2**Q floats stay alive, 8 MiB each at Q = 20.
     """
-    vec = post_state(s, q_bits, label, allow_small_register=True)
-    if fourier:
-        vec = qft_vector(vec)
-    cdf = np.cumsum(abs_sq(vec))
+    cdf = np.cumsum(qft_distribution(s, q_bits, 1, allow_small_register=True).probs)
     cdf.setflags(write=False)
     return cdf
 
@@ -330,36 +298,28 @@ def run_trial(
     q_bits: int,
     rng: np.random.Generator,
     trial_index: int = 0,
-    mode: str = "qft",
     allow_small_register: bool = False,
 ) -> TrialRecord:
     """One measurement round.
 
-    Measure B.  A factor label is itself the answer; in "direct-read" mode
-    the A register is sampled instead and gcd(l, N) reported, which reads
-    the comb period without any Fourier step.  Label N is a retry.  Label 1
-    Fourier-transforms the coprime comb, samples one bin, and attempts
-    rational reconstruction (rarely useful, but exercised).
+    Measure B.  A factor label is itself the answer; label N is a retry.
+    Label 1 Fourier-transforms the coprime comb, samples one bin, and
+    attempts rational reconstruction (rarely useful, but exercised).
 
-    The branch and comb CDFs are built once per (N, Q) per process and
-    shared by every later trial; the register and cap are checked first.
+    The branch CDF and the unit-spectrum CDF are built once per (N, Q) per
+    process and shared by every later trial; the register and cap are
+    checked first.
     """
-    if mode not in ("qft", "direct-read"):
-        raise ValueError(f"unknown trial mode {mode!r}")
     _check_register(s, q_bits, allow_small_register)
     check_amplitude_cap(1 << q_bits)
     branches, branch_cdf = _branch_table(s, q_bits)
     branch = branches[sample_cdf(branch_cdf, rng)]
     if branch.kind is BranchKind.CASE_FACTOR:
-        if mode == "direct-read":
-            ell = sample_cdf(_comb_cdf(s, q_bits, branch.label, False), rng)
-            factor = nontrivial_divisor(ell, s.n)
-            return TrialRecord(trial_index, branch.label, outcome_a=ell, factor=factor)
         return TrialRecord(trial_index, branch.label, factor=branch.label)
     if branch.kind is BranchKind.CASE_N:
         return TrialRecord(trial_index, branch.label)
     # unit branch: QFT, sample, reconstruct
-    m = sample_cdf(_comb_cdf(s, q_bits, 1, True), rng)
+    m = sample_cdf(_unit_cdf(s, q_bits), rng)
     if m == 0:
         return TrialRecord(trial_index, branch.label, outcome_a=0)
     cand = recover_divisor(m, q_bits, s.n)
@@ -377,7 +337,6 @@ def factor_driver(
     q_bits: int,
     max_trials: int,
     seed: int,
-    mode: str = "qft",
     allow_small_register: bool = False,
 ) -> DriverResult:
     """Repeat trials until some trial reports a factor or the budget runs out.
@@ -392,5 +351,5 @@ def factor_driver(
         n,
         max_trials,
         seed,
-        lambda t, rng: run_trial(s, q_bits, rng, t, mode, allow_small_register),
+        lambda t, rng: run_trial(s, q_bits, rng, t, allow_small_register),
     )

@@ -5,9 +5,7 @@ at row l, column m.  All operations are pure: they validate, build a new
 array, and hand back a fresh immutable state.  The Fourier kernel is fixed
 to the +i convention,
 
-    U |l>  =  (1/sqrt(D)) sum_m exp[+2*pi*i*m*l/D] |m>,
-
-and its inverse (used only by tests) to -i.
+    U |l>  =  (1/sqrt(D)) sum_m exp[+2*pi*i*m*l/D] |m>.
 
 States are checked to unit norm within 1e-9 after every constructor and
 unitary; a violation raises rather than renormalizing silently.  Dense
@@ -153,14 +151,6 @@ class Distribution:
         self.probs.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class CollapseResult:
-    """Measured B label plus the renormalized A vector left behind."""
-
-    outcome: int
-    state_a: np.ndarray
-
-
 def uniform_product(dim_a: int, dim_b: int) -> BipartiteState:
     """Product state with every amplitude equal to 1/sqrt(dim_a*dim_b)."""
     if dim_a < 1 or dim_b < 1:
@@ -186,14 +176,6 @@ def qft_vector(vec: np.ndarray) -> np.ndarray:
     if d < 1:
         raise ValueError("vector must be non-empty")
     return np.fft.ifft(vec) * math.sqrt(d)
-
-
-def qft_vector_inverse(vec: np.ndarray) -> np.ndarray:
-    """Inverse of qft_vector (-i kernel); fixed here for round-trip tests."""
-    d = len(vec)
-    if d < 1:
-        raise ValueError("vector must be non-empty")
-    return np.fft.fft(vec) / math.sqrt(d)
 
 
 def qft_b(state: BipartiteState) -> BipartiteState:
@@ -231,17 +213,6 @@ def conditional_a(state: BipartiteState, n0: int) -> Distribution:
     return Distribution(weights / mass)
 
 
-def collapse_b(state: BipartiteState, n0: int) -> CollapseResult:
-    """Project onto a fixed B outcome and renormalize the A vector."""
-    if not (0 <= n0 < state.dim_b):
-        raise ValueError(f"outcome {n0} outside B register of size {state.dim_b}")
-    col = state.amps[:, n0]
-    norm = math.sqrt(float(np.sum(abs_sq(col))))
-    if norm <= 1e-12:
-        raise ZeroMarginalError(f"outcome {n0} has (near-)zero amplitude")
-    return CollapseResult(n0, col / norm)
-
-
 def sample_cdf(cdf: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF draw from a cumulative mass vector; zero-mass bins are unreachable."""
     u = rng.random() * cdf[-1]
@@ -251,12 +222,6 @@ def sample_cdf(cdf: np.ndarray, rng: np.random.Generator) -> int:
 def sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF draw from a probability vector, via sample_cdf."""
     return sample_cdf(np.cumsum(probs), rng)
-
-
-def measure_b(state: BipartiteState, rng: np.random.Generator) -> CollapseResult:
-    """Sample a B outcome by inverse-CDF on the exact marginal, then collapse."""
-    outcome = sample_outcome(marginal_b(state).probs, rng)
-    return collapse_b(state, outcome)
 
 
 def purity_a(state: BipartiteState) -> float:

@@ -190,6 +190,8 @@ def run_qubit(n: int, q_bits: int) -> SuperpositionRun:
     placed), Q <= 20 and a register of 2**Q amplitudes within the cap.
     """
     s = factor_semiprime(n)
+    if q_bits < 1:
+        raise ValueError(f"register size must be >= 1 bit, got {q_bits}")
     if q_bits > MAX_QUBIT_BITS:
         raise ValueError(f"register size 2**{q_bits} beyond register cap 2**{MAX_QUBIT_BITS}")
     if n * n >= 1 << q_bits:

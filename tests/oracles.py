@@ -115,3 +115,12 @@ def comb_post_state_direct(n: int, q_bits: int, label: int) -> list[float]:
     for ell in support:
         vec[ell] = amp
     return vec
+
+
+def branch_masses_direct(n: int, q_bits: int) -> dict[int, int]:
+    """How many l < 2**Q read each divisor signal math.gcd(l, N) off B (gcd(0, N) = N)."""
+    counts: dict[int, int] = {}
+    for ell in range(1 << q_bits):
+        g = math.gcd(ell, n)
+        counts[g] = counts.get(g, 0) + 1
+    return counts

@@ -318,6 +318,17 @@ def test_invalid_inputs_exit_2(capsys):
     assert run_main("gauss-table", "--n", "35", "--kind", "w", "--format", "xml",
                     capsys=capsys)[0] == 2
     assert run_main("sweep", "--n", "abc", capsys=capsys)[0] == 2
+    rc, out, err = run_main("superposition", "--mode", "qubit", "--n", "21", "--q", "-1",
+                            capsys=capsys)
+    assert (rc, out, err) == (2, "", "error: register size must be >= 1 bit, got -1\n")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        rc, out, err = run_main("purity", "--n", "21", "--output", str(path), capsys=capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: cannot write output file {path}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_memory_cap_env_respected(monkeypatch, capsys):

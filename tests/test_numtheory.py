@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gausshor.numtheory import (
-    GcdCase,
     NotSemiprimeError,
     Semiprime,
-    classify_gcd,
     count_upper,
     factor_semiprime,
     gcd_conv,
@@ -101,17 +99,3 @@ def test_semiprime_invariants():
         Semiprime(45, 5, 9)  # 9 not prime
     with pytest.raises(ValueError):
         Semiprime(25, 5, 5)  # repeated factor
-    assert factor_semiprime(91).coprime_count == 72
-
-
-def test_classify_gcd():
-    s = factor_semiprime(91)
-    assert classify_gcd(0, s).case is GcdCase.MULTIPLE_OF_N
-    assert classify_gcd(14, s) .gcd == 7
-    assert classify_gcd(14, s).case is GcdCase.SHARES_P
-    assert classify_gcd(26, s).case is GcdCase.SHARES_Q
-    assert classify_gcd(4, s).case is GcdCase.UNIT
-    # classification agrees with gcd_conv for every residue
-    for ell in range(91):
-        cls = classify_gcd(ell, s)
-        assert cls.gcd == gcd_conv(ell, 91)

@@ -10,11 +10,10 @@ from gausshor.numtheory import count_upper, factor_semiprime
 from gausshor.shor_gauss import (
     BranchKind,
     _branch_table,
-    _comb_cdf,
+    _unit_cdf,
     analyze_peaks,
     b_labels,
     branch_probs,
-    build_state,
     factor_driver,
     min_register_bits,
     peak_bin,
@@ -41,24 +40,13 @@ def test_min_register_bits():
     assert (1 << (min_register_bits(91) - 1)) <= 91 * 91
 
 
-def test_build_state_register_guard():
-    build_state(S91, 14)
-    with pytest.raises(ValueError):
-        build_state(S91, 11)
-    build_state(S91, 11, allow_small_register=True)  # figure-scale override
-
-
-def test_build_state_labels_and_amplitudes():
-    st = build_state(S91, 11, allow_small_register=True)
-    assert (st.dim_a, st.dim_b) == (2048, 4)
-    labels = b_labels(S91)
-    assert labels == (1, 7, 13, 91)
-    # l = 14 sits in the p column
-    row = st.amps[14]
-    assert abs(row[labels.index(7)]) == pytest.approx(2 ** -5.5, abs=1e-12)
-    assert np.sum(np.abs(row) ** 2) == pytest.approx(1 / 2048, abs=1e-15)
-    # l = 0 carries the divisor-signal value N
-    assert abs(st.amps[0, labels.index(91)]) > 0
+def test_register_guard():
+    branch_probs(S91, 14)
+    with pytest.raises(ValueError, match="not uniquely decodable"):
+        branch_probs(S91, 11)
+    branch_probs(S91, 11, allow_small_register=True)  # figure-scale override
+    with pytest.raises(ValueError, match="register size must be >= 1 bit, got 0"):
+        post_state(S91, 0, 7, allow_small_register=True)
 
 
 def test_branch_probs_examples_and_sum():
@@ -75,14 +63,13 @@ def test_branch_probs_examples_and_sum():
     assert kinds[1] is BranchKind.CASE_UNIT
 
 
-def test_branch_probs_match_state_marginal():
-    from gausshor.states import marginal_b
-
-    st = build_state(S15, 9, allow_small_register=True)
-    mb = marginal_b(st)
-    bp = {b.label: float(b.probability) for b in branch_probs(S15, 9, True)}
-    for idx, label in enumerate(b_labels(S15)):
-        assert mb.probs[idx] == pytest.approx(bp[label], abs=1e-12)
+def test_branch_probs_match_direct_counts():
+    for n, q_bits, allow in ((15, 9, False), (35, 11, False), (91, 11, True), (91, 14, False)):
+        s = factor_semiprime(n)
+        counts = oracles.branch_masses_direct(n, q_bits)
+        assert sorted(counts) == sorted(b_labels(s))
+        got = {b.label: b.probability for b in branch_probs(s, q_bits, allow)}
+        assert got == {g: Fraction(c, 1 << q_bits) for g, c in counts.items()}, (n, q_bits)
 
 
 def test_post_state_supports():
@@ -318,21 +305,6 @@ def test_run_trial_branches():
     assert {7, 1} <= seen
 
 
-def test_run_trial_direct_read_mode():
-    # a factor-label trial samples the comb and reads the period off gcd
-    for t in range(300):
-        rec = run_trial(S91, 14, trial_rng(11, t), t, mode="direct-read")
-        if rec.outcome_b in (7, 13):
-            assert rec.outcome_a is not None
-            assert rec.outcome_a % rec.outcome_b == 0
-            assert rec.factor == rec.outcome_b
-            break
-    else:
-        pytest.fail("no factor branch in 300 trials")
-    with pytest.raises(ValueError):
-        run_trial(S91, 14, trial_rng(0, 0), mode="bogus")
-
-
 def test_factor_driver_examples():
     res = factor_driver(91, 14, 200, 1)
     assert res.succeeded and res.factor in (7, 13) and res.trials_run <= 200
@@ -358,7 +330,7 @@ def test_unit_branch_reconstruction_rarely_helps():
     assert sum(1 for r in unit if r.factor is not None) <= len(unit) // 2
 
 
-def _uncached_driver(n, q_bits, max_trials, seed, mode):
+def _uncached_driver(n, q_bits, max_trials, seed):
     """factor_driver with every draw taken by sample_outcome on freshly built probabilities."""
     s = factor_semiprime(n)
     branches = branch_probs(s, q_bits)
@@ -368,13 +340,8 @@ def _uncached_driver(n, q_bits, max_trials, seed, mode):
         rng = trial_rng(seed, t)
         label = branches[sample_outcome(branch_p, rng)].label
         rec = TrialRecord(t, label)
-        if label in (s.p, s.q) and mode == "qft":
+        if label in (s.p, s.q):
             rec = TrialRecord(t, label, factor=label)
-        elif label in (s.p, s.q):
-            vec = post_state(s, q_bits, label)
-            ell = sample_outcome(vec.real**2 + vec.imag**2, rng)
-            g = math.gcd(ell, n)
-            rec = TrialRecord(t, label, outcome_a=ell, factor=g if 1 < g < n else None)
         elif label == 1:
             vec = qft_vector(post_state(s, q_bits, 1))
             m = sample_outcome(vec.real**2 + vec.imag**2, rng)
@@ -390,22 +357,20 @@ def _uncached_driver(n, q_bits, max_trials, seed, mode):
 
 
 @pytest.mark.parametrize("n, q_bits", [(35, 11), (91, 14)])
-@pytest.mark.parametrize("mode", ["qft", "direct-read"])
-def test_cached_tables_change_no_record(n, q_bits, mode):
+def test_cached_tables_change_no_record(n, q_bits):
     for seed in range(20):
         _branch_table.cache_clear()
-        _comb_cdf.cache_clear()
-        cold = factor_driver(n, q_bits, 30, seed, mode)
-        warm = factor_driver(n, q_bits, 30, seed, mode)
-        assert cold == warm == _uncached_driver(n, q_bits, 30, seed, mode), seed
+        _unit_cdf.cache_clear()
+        cold = factor_driver(n, q_bits, 30, seed)
+        warm = factor_driver(n, q_bits, 30, seed)
+        assert cold == warm == _uncached_driver(n, q_bits, 30, seed), seed
 
 
 def test_cached_tables_are_read_only():
-    factor_driver(91, 14, 30, 0, "direct-read")
+    factor_driver(91, 14, 30, 0)
     branches, cdf = _branch_table(S91, 14)
     assert isinstance(branches, tuple) and not cdf.flags.writeable
-    for label, fourier in ((1, True), (7, False), (13, False)):
-        assert not _comb_cdf(S91, 14, label, fourier).flags.writeable
+    assert not _unit_cdf(S91, 14).flags.writeable
     with pytest.raises(ValueError):
         factor_driver(91, 5, 0, 1)  # 2**5 <= 91**2, even with no trial to run
 
