@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-DEFAULT_FACTOR_CAP = 10**6
+FACTOR_CAP = 10**6
 
 
 class NotSemiprimeError(ValueError):
@@ -101,17 +101,17 @@ def _trial_factorization(n: int) -> list[int]:
     return out
 
 
-def factor_semiprime(n: int, cap: int = DEFAULT_FACTOR_CAP) -> Semiprime:
+def factor_semiprime(n: int) -> Semiprime:
     """Validate and split an odd semiprime by trial division.
 
     Ground truth for oracles and tests only: the simulated algorithms must
     never consult this on their decision path.  Numbers that are even,
-    prime, a prime power, or carry three or more prime factors are rejected
-    with distinct reasons.
+    outside 3 .. FACTOR_CAP, prime, a prime power, or carry three or more
+    prime factors are rejected with distinct reasons.
     """
     if n % 2 == 0:
         raise NotSemiprimeError(n, "even")
-    if n < 3 or n > cap:
+    if n < 3 or n > FACTOR_CAP:
         raise NotSemiprimeError(n, "out-of-range")
     factors = _trial_factorization(n)
     if len(factors) == 1:

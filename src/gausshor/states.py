@@ -126,7 +126,7 @@ class BipartiteState:
             )
         flat = self.amps.reshape(-1)
         norm_sq = float(np.vdot(flat, flat).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
             raise StateIntegrityError(f"squared norm {norm_sq!r} deviates from 1")
         self.amps.setflags(write=False)
 
@@ -146,7 +146,7 @@ class Distribution:
         if np.any(self.probs < 0.0):
             raise ValueError("negative probability")
         total = float(np.sum(self.probs))
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.probs.setflags(write=False)
 

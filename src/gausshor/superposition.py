@@ -13,13 +13,15 @@ checked against that one for circulance.  The qubit variant
 works on two registers of size 2**Q > N**2 instead; its grid is never
 materialized, and a qubit run carries no B marginal until one is asked
 for, so a report on the conditional column alone never builds it.  Its
-amplitudes depend on the A index l only through the residue l mod N, so
-the marginal takes N residue rows, each one FFT of a quadratic-phase
-vector, and weights each by the number of register rows that share its
-residue.  A residue row's phases exp(2*pi*i*r*m^2/N) depend on m only
-through m^2 mod N, so every row is gathered from one N x N root table,
-with no N x 2**Q index grid.  Residues are processed in fixed blocks, in
-ascending order, so results do not depend on how the work is scheduled.
+amplitudes depend on the A index l only through the residue l mod N, and
+on the B index m of the quadratic phase only through m^2 mod N.  So the
+marginal takes N residue rows, each one FFT of a quadratic-phase vector
+gathered from one N x N root table, and weights each by the number of
+register rows that share its residue; residues are processed in fixed
+blocks, in ascending order, so results do not depend on how the work is
+scheduled.  The conditional column at one bin groups its 2**Q linear
+phases by m^2 mod N and takes one length-N inverse FFT of the N class
+sums, with no N x 2**Q work at all.
 """
 
 from __future__ import annotations
@@ -200,40 +202,31 @@ def run_qubit(n: int, q_bits: int) -> SuperpositionRun:
     return SuperpositionRun(s=s, q_bits=q_bits)
 
 
-def _residue_rows(n: int, size: int):
-    """(r, rows): the phase rows exp(2*pi*i*r*m^2/N), m < size, of the residues r.
-
-    The phase of (r, m) is entry (r, m^2 mod N) of the N x N table
-    roots[(r*s) mod N], built once, so each block of the fixed row_blocks
-    partition is one C-contiguous gather from it and no index grid is
-    formed.  The table holds N**2 < 2**Q entries, within the register's cap.
-    Every block is gathered into one reused buffer, so rows is valid only
-    until the next block is drawn.
-    """
-    msq = (np.arange(size, dtype=np.int64) ** 2) % n
-    residues = np.arange(n, dtype=np.int64)
-    table = phase_roots(n)[np.outer(residues, residues) % n]
-    blocks = list(row_blocks(n, size, _BLOCK_ENTRIES))
-    buf = np.empty((len(blocks[0]), size), dtype=np.complex128)
-    for r in blocks:
-        rows = buf[: len(r)]
-        # msq < n, so "clip" never clips; unlike "raise" it writes to out unbuffered
-        np.take(table[r], msq, axis=1, out=rows, mode="clip")
-        yield r, rows
-
-
 def qubit_marginal(n: int, q_bits: int) -> np.ndarray:
     """B marginal of the power-of-two variant, folded over residues.
 
     The B amplitudes (1/M) sum_m exp[2*pi*i*(m^2 l / N + m n / M)] of row l
     are one inverse FFT and depend on l only through r = l mod N, so each
     residue row is transformed once and its squared moduli weighted by the
-    (M - 1 - r)//N + 1 register rows with residue r.
+    (M - 1 - r)//N + 1 register rows with residue r.  The phase of (r, m)
+    is entry (r, m^2 mod N) of the N x N table roots[(r*s) mod N], built
+    once, so each block of the fixed row_blocks partition is one
+    C-contiguous gather from it into one reused buffer, and no index grid
+    is formed.  The table holds N**2 < 2**Q entries, within the register's
+    cap.
     """
     size = 1 << q_bits
     counts = ((size - 1 - np.arange(n)) // n + 1).astype(np.float64)
+    msq = (np.arange(size, dtype=np.int64) ** 2) % n
+    residues = np.arange(n, dtype=np.int64)
+    table = phase_roots(n)[np.outer(residues, residues) % n]
+    blocks = list(row_blocks(n, size, _BLOCK_ENTRIES))
+    buf = np.empty((len(blocks[0]), size), dtype=np.complex128)
     acc = np.zeros(size)
-    for r, rows in _residue_rows(n, size):
+    for r in blocks:
+        rows = buf[: len(r)]
+        # msq < n, so "clip" never clips; unlike "raise" it writes to out unbuffered
+        np.take(table[r], msq, axis=1, out=rows, mode="clip")
         np.fft.ifft(rows, axis=1, out=rows)
         acc += counts[r] @ abs_sq(rows)
     return acc / size
@@ -242,15 +235,19 @@ def qubit_marginal(n: int, q_bits: int) -> np.ndarray:
 def _qubit_conditional_probs(run: SuperpositionRun, n0: int) -> np.ndarray:
     """Unnormalized |amplitude(l, n0)|^2 column of a qubit run.
 
-    Computed for the N residues l mod N, then repeated across the register.
+    The amplitude (1/M) sum_m exp[2*pi*i*(m^2 r / N + m n0 / M)] of residue
+    r = l mod N depends on m^2 only mod N, so it is (N/M) times the inverse
+    FFT of the residue-class sums z_s = sum_{m^2 = s mod N} exp(2*pi*i*m*n0/M):
+    O(M + N log N), then repeated across the register.
     """
     n = run.s.n
     size = 1 << run.q_bits
+    m = np.arange(size, dtype=np.int64)
     # m * n0 < 2**40 is reduced exactly, so the phases lose no bits to a large argument
-    linear = phase_roots(size)[(np.arange(size, dtype=np.int64) * n0) % size] / size
-    folded = np.empty(n)
-    for r, rows in _residue_rows(n, size):
-        folded[r] = abs_sq(rows @ linear)
+    linear = phase_roots(size)[(m * n0) % size]
+    msq = (m * m) % n
+    z = np.bincount(msq, linear.real, n) + 1j * np.bincount(msq, linear.imag, n)
+    folded = abs_sq(np.fft.ifft(z) * (n / size))
     return np.resize(folded, size) / size
 
 

@@ -65,6 +65,8 @@ def test_norm_integrity_enforced():
     bad = np.full((2, 2), 0.7, dtype=np.complex128)
     with pytest.raises(StateIntegrityError):
         BipartiteState(2, 2, bad)
+    with pytest.raises(StateIntegrityError):
+        BipartiteState(2, 2, np.full((2, 2), np.nan, dtype=np.complex128))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -262,6 +264,8 @@ def test_distribution_validation():
         Distribution(np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
         Distribution(np.array([0.7, 0.7]))
+    with pytest.raises(ValueError):
+        Distribution(np.array([np.nan, 1.0]))
     d = Distribution(np.array([0.25, 0.75]))
     with pytest.raises(ValueError):
         d.probs[0] = 0.5
