@@ -5,7 +5,9 @@ is CSV (schema comment header) or JSON carrying identical numeric content;
 floats are rendered with 17 significant digits in both, so files re-parse
 to the same doubles and repeated runs with one seed are byte-identical.
 Both formats render each section column by column through one cell
-formatter, which formats each distinct value of a column once.
+formatter, which formats each distinct value of a column once.  A report
+is rendered and written in pages of at most 1,024 rows, a longer table in
+slices, so no command holds the whole text of a long report.
 
 Exit codes: 0 success, 1 driver exhausted its trial budget, 2 invalid input
 or an output file that cannot be written.
@@ -17,7 +19,7 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -171,21 +173,33 @@ def _reduce_even(n: int) -> int:
 
 @dataclass
 class Section:
-    """One table of the report; every row has one value per header column."""
+    """One table of the report, or the slice of it from row ``start`` on.
+
+    Every row has one value per header column.  A slice with start > 0
+    continues the table of the slice before it and has no heading.
+    """
 
     name: str
     attrs: list[tuple[str, str]] = field(default_factory=list)
     header: tuple[str, ...] = ()
     rows: list[tuple] = field(default_factory=list)
+    start: int = 0
 
 
-def render_csv(cfg: RunConfig, sections: list[Section]) -> str:
-    lines = [f"# schema={SCHEMA_VERSION}"]
-    lines.append("# config " + " ".join(f"{k}={v}" for k, v in cfg.echo_items()))
+def render_csv(cfg: RunConfig, sections: list[Section], head=True, tail=True) -> str:
+    """CSV lines of the sections, after the schema and config lines if head.
+
+    CSV has nothing to close; tail keeps the signature of render_json.
+    """
+    lines = []
+    if head:
+        lines.append(f"# schema={SCHEMA_VERSION}")
+        lines.append("# config " + " ".join(f"{k}={v}" for k, v in cfg.echo_items()))
     for sec in sections:
-        attrs = "".join(f" {k}={v}" for k, v in sec.attrs)
-        lines.append(f"# section={sec.name}{attrs}")
-        lines.append(",".join(sec.header))
+        if not sec.start:
+            attrs = "".join(f" {k}={v}" for k, v in sec.attrs)
+            lines.append(f"# section={sec.name}{attrs}")
+            lines.append(",".join(sec.header))
         lines.extend(map(",".join, zip(*_columns(sec, json=False))))
     return "\n".join(lines) + "\n"
 
@@ -249,29 +263,64 @@ def _json_pairs(items) -> str:
     return ", ".join(f"{_json_escape(k)}: {_json_escape(v)}" for k, v in items)
 
 
-def render_json(cfg: RunConfig, sections: list[Section]) -> str:
-    sec_texts = []
-    for sec in sections:
-        attrs = f', "attrs": {{{_json_pairs(sec.attrs)}}}' if sec.attrs else ""
+def render_json(cfg: RunConfig, sections: list[Section], head=True, tail=True) -> str:
+    """JSON text of the sections; head opens the document and tail closes it.
+
+    A table's rows close where the next table opens or at the tail, so a
+    table sliced across calls stays open between them.
+    """
+    parts = []
+    if head:
+        config = _json_pairs(cfg.echo_items())
+        parts.append(f'{{"schema": {SCHEMA_VERSION}, "config": {{{config}}}, "sections": [')
+    for k, sec in enumerate(sections):
         rows = "}, {".join(map(", ".join, zip(*_columns(sec, json=True))))
+        if sec.start:
+            parts.append(", {" + rows + "}")
+            continue
+        attrs = f', "attrs": {{{_json_pairs(sec.attrs)}}}' if sec.attrs else ""
         rows = "{" + rows + "}" if rows else ""
-        sec_texts.append(f'{{"name": {_json_escape(sec.name)}{attrs}, "rows": [{rows}]}}')
-    return (
-        f'{{"schema": {SCHEMA_VERSION}, "config": {{{_json_pairs(cfg.echo_items())}}}, '
-        f'"sections": [{", ".join(sec_texts)}]}}\n'
-    )
+        opened = "]}, " if k or not head else ""
+        parts.append(f'{opened}{{"name": {_json_escape(sec.name)}{attrs}, "rows": [{rows}')
+    if tail:
+        parts.append("]}]}\n" if sections else "]}\n")
+    return "".join(parts)
+
+
+_PAGE_ROWS = 1024  # rows rendered per call, so a long table's text is never held whole
+
+
+def _pages(sections: list[Section]) -> list[list[Section]]:
+    """The report in pages of at most _PAGE_ROWS rows; a longer table spans pages in slices."""
+    pages, room = [[]], _PAGE_ROWS
+    for sec in sections:
+        if len(sec.rows) > _PAGE_ROWS:
+            starts = range(0, len(sec.rows), _PAGE_ROWS)
+            slices = [replace(sec, rows=sec.rows[i : i + _PAGE_ROWS], start=i) for i in starts]
+        else:
+            slices = [sec]
+        for piece in slices:
+            if len(piece.rows) > room:
+                pages.append([])
+                room = _PAGE_ROWS
+            pages[-1].append(piece)
+            room -= len(piece.rows)
+    return pages
 
 
 def emit(cfg: RunConfig, sections: list[Section]) -> None:
-    text = (render_csv if cfg.format == "csv" else render_json)(cfg, sections)
+    """Render the report into the output file or stdout, one page at a time."""
+    render = render_csv if cfg.format == "csv" else render_json
+    pages = _pages(sections)
+    texts = (render(cfg, page, i == 0, i == len(pages) - 1) for i, page in enumerate(pages))
     if cfg.output:
         try:
             with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(texts)
         except OSError as exc:
             raise InputError(f"cannot write output file {cfg.output}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 # ---------------------------------------------------------------------------

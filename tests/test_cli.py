@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from fractions import Fraction
@@ -12,7 +13,18 @@ import pytest
 
 import gausshor
 from gausshor import superposition
-from gausshor.cli import RunConfig, Section, _json_escape, main, render_csv, render_json
+from gausshor.cli import (
+    RunConfig,
+    Section,
+    _distribution_section,
+    _divisor_notes,
+    _json_escape,
+    _pages,
+    emit,
+    main,
+    render_csv,
+    render_json,
+)
 
 import render_reference
 
@@ -506,6 +518,47 @@ def test_renderers_match_per_cell_reference():
     items = cfg.echo_items()
     assert render_csv(cfg, ours) == render_reference.render_csv(items, sections)
     assert render_json(cfg, ours) == render_reference.render_json(items, sections)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("page_rows", [1, 2, 3, 58, 97, 1024])
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_emit_pages_write_the_whole_document(monkeypatch, tmp_path, capsys, fmt, page_rows, count):
+    # tables of 58, 40 and 0 rows: pages of 1, 2 and 3 rows cut both long
+    # tables into slices (3 leaves a one-row slice), 58 rows fill a page with
+    # the first table, 97 move the second to a new page and 1,024 hold all
+    sections = [Section(name, list(attrs), header, list(rows))
+                for name, attrs, header, rows in _reference_sections()[:count]]
+    monkeypatch.setattr("gausshor.cli._PAGE_ROWS", page_rows)
+    render = render_csv if fmt == "csv" else render_json
+    whole = render(RunConfig(command="superposition", format=fmt), sections)
+    out = tmp_path / "report"
+    emit(RunConfig(command="superposition", format=fmt, output=str(out)), sections)
+    assert out.read_text(encoding="utf-8") == whole
+    emit(RunConfig(command="superposition", format=fmt), sections)
+    assert capsys.readouterr().out == whole
+    pages = _pages(sections)
+    assert all(sum(len(sec.rows) for sec in page) <= page_rows for page in pages)
+    assert [row for page in pages for sec in page for row in sec.rows] == [
+        row for sec in sections for row in sec.rows
+    ]
+    for page, following in zip(pages, pages[1:]):  # a page ends only when full
+        assert sum(len(sec.rows) for sec in page) + len(following[0].rows) > page_rows
+
+
+def test_emit_never_holds_a_long_report_whole(tmp_path):
+    run = superposition.run_qubit(91, 14)
+    cond = superposition.conditional_after_peak(run, 8102)
+    sections = [_distribution_section("conditional", cond, _divisor_notes(91))]
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        emit(RunConfig(command="superposition", format="json", output=str(out)), sections)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sections[0].rows) == 2**14
+    assert peak < out.stat().st_size / 2
 
 
 def test_qubit_conditional_report_never_builds_marginal(monkeypatch, capsys):
