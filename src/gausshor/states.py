@@ -90,22 +90,24 @@ def row_blocks(n_rows: int, row_len: int, entries: int):
         yield np.arange(start, min(start + step, n_rows), dtype=np.int64)
 
 
-def quadratic_phase_grid(factor, dim_a: int, dim_b: int, n: int) -> np.ndarray:
-    """New (dim_a, dim_b) grid factor * exp[2*pi*i*m^2*l/n], built in blocks of A rows.
+def quadratic_phase_grid(factor, rows_a: np.ndarray, dim_b: int, n: int) -> np.ndarray:
+    """New grid factor * exp[2*pi*i*m^2*l/n], one row per A index l in rows_a, built in blocks.
 
-    factor is a scalar or a full grid.  Phase indices are reduced mod n in
-    integer arithmetic before the table lookup; an index block holds about
-    2**16 entries, so no dim_a x dim_b index grid is built.
+    The grid has shape (len(rows_a), dim_b): apply_quadratic_phase asks for
+    every A row, an exact run only for the representative row of each of its
+    row orbits.  factor is a scalar or a full grid.  Phase indices are
+    reduced mod n in integer arithmetic before the table lookup; an index
+    block holds about 2**16 entries, so no full index grid is built.
     """
     if n < 1:
         raise ValueError(f"phase modulus must be >= 1, got {n}")
     roots = phase_roots(n)
     msq = (np.arange(dim_b, dtype=np.int64) ** 2) % n
-    factor = np.broadcast_to(factor, (dim_a, dim_b))
-    grid = np.empty((dim_a, dim_b), dtype=np.complex128)
-    for rows in row_blocks(dim_a, dim_b, 1 << 16):
+    factor = np.broadcast_to(factor, (len(rows_a), dim_b))
+    grid = np.empty((len(rows_a), dim_b), dtype=np.complex128)
+    for rows in row_blocks(len(rows_a), dim_b, 1 << 16):
         block = slice(rows[0], rows[-1] + 1)
-        np.multiply(factor[block], roots[(rows[:, None] * msq) % n], out=grid[block])
+        np.multiply(factor[block], roots[(rows_a[block, None] * msq) % n], out=grid[block])
     return grid
 
 
@@ -166,7 +168,7 @@ def apply_quadratic_phase(state: BipartiteState, n: int) -> BipartiteState:
     Diagonal, hence norm-preserving; n sets the phase period and is
     independent of either register dimension.
     """
-    amps = quadratic_phase_grid(state.amps, state.dim_a, state.dim_b, n)
+    amps = quadratic_phase_grid(state.amps, np.arange(state.dim_a), state.dim_b, n)
     return BipartiteState(state.dim_a, state.dim_b, amps)
 
 

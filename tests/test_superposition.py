@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gausshor.numtheory import NotSemiprimeError
+from gausshor.numtheory import NotSemiprimeError, factor_semiprime
 from gausshor.states import (
     BipartiteState,
     StateIntegrityError,
@@ -401,10 +401,91 @@ def test_pb_brute_force_oracle_cross_check():
     assert np.max(np.abs(pb - np.array(brute))) < 1e-9
 
 
-@pytest.mark.parametrize("n", [15, 21, 91, 221])
-def test_run_exact_one_pass_matches_composition(n):
+# p and q cover 1 and 3 mod 4, which decide whether -1 is a square mod N
+ORBIT_NS = (15, 21, 33, 65, 91, 221, 899)
+
+
+@pytest.mark.parametrize("n", ORBIT_NS)
+def test_run_exact_orbit_build_matches_composition(n):
     composed = qft_b(apply_quadratic_phase(uniform_product(n, n), n)).amps
-    assert np.array_equal(run_exact(n).state.amps, composed)
+    amps = run_exact(n).state.amps
+    reps = superposition.row_orbits(n)[0]
+    assert np.array_equal(amps[reps], composed[reps])
+    assert np.max(np.abs(amps - composed)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [15, 21, 33, 35])
+def test_run_exact_matches_direct_sums(n):
+    direct = np.array(
+        [[oracles.shifted_sum_direct(n0, ell, n) for n0 in range(n)] for ell in range(n)]
+    )
+    assert np.max(np.abs(run_exact(n).state.amps - direct / math.sqrt(n))) <= 1e-14
+
+
+def test_odd_semiprimes_below_500_have_nine_row_orbits():
+    checked = 0
+    for n in range(15, 500, 2):
+        try:
+            factor_semiprime(n)
+        except NotSemiprimeError:
+            continue
+        reps, orbit, u, u_inv = superposition.row_orbits(n)
+        ell = np.arange(n)
+        units = ell[np.gcd(ell, n) == 1]
+        # each row's orbit minimum, from every unit square at once
+        assert np.array_equal(reps[orbit], (np.outer(ell, units * units) % n).min(axis=1)), n
+        assert len(reps) == 9, n
+        assert np.array_equal(reps[orbit] * u * u % n, ell), n
+        assert np.all(u * u_inv % n == 1), n
+        checked += 1
+    assert checked == 93
+
+
+@pytest.mark.parametrize("i", range(1, 9))
+def test_run_exact_rejects_u_for_u_inverse_in_orbit_tables(monkeypatch, i):
+    row_orbits = superposition.row_orbits
+
+    def mutant(n):
+        reps, orbit, u, u_inv = row_orbits(n)
+        return reps, orbit, u, np.where(orbit == i, u, u_inv)
+
+    monkeypatch.setattr(superposition, "row_orbits", mutant)
+    with pytest.raises(StateIntegrityError):
+        run_exact(91)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 7, 45, 90])
+def test_run_exact_rejects_a_row_pointed_at_the_wrong_representative(monkeypatch, ell):
+    row_orbits = superposition.row_orbits
+
+    def mutant(n):
+        reps, orbit, u, u_inv = row_orbits(n)
+        orbit = orbit.copy()
+        orbit[ell] = (orbit[ell] + 1) % len(reps)
+        return reps, orbit, u, u_inv
+
+    monkeypatch.setattr(superposition, "row_orbits", mutant)
+    with pytest.raises(StateIntegrityError):
+        run_exact(91)
+
+
+@pytest.mark.parametrize("n", [91, 221])
+@pytest.mark.parametrize("i", range(1, 9))
+def test_run_exact_spot_checks_catch_a_mutant_gather(monkeypatch, n, i):
+    """With correct orbit tables, a gather that mishandles one orbit is caught by its spot check."""
+    gather = superposition._gather_orbit_rows
+
+    def u_for_u_inverse(table, orbit, u_inv):
+        u = np.array([pow(int(x), -1, n) for x in u_inv])
+        return gather(table, orbit, np.where(orbit == i, u, u_inv))
+
+    def wrong_representative(table, orbit, u_inv):
+        return gather(table, np.where(orbit == i, i % 8 + 1, orbit), u_inv)
+
+    for mutant in (u_for_u_inverse, wrong_representative):
+        monkeypatch.setattr(superposition, "_gather_orbit_rows", mutant)
+        with pytest.raises(StateIntegrityError):
+            run_exact(n)
 
 
 def test_qubit_run_builds_marginal_on_demand(monkeypatch):
@@ -436,6 +517,122 @@ def test_sample_factor_driver_qubit_records_pinned(seed, factor, records):
     assert res.factor == factor
     assert [(r.outcome_b, r.outcome_a, r.factor) for r in res.records] == records
     assert sample_factor_driver(run, 40, seed) == res
+
+
+# recorded on the one-FFT-per-row exact build, seeds 0-29 with a budget of 100:
+# "n0:ell" per trial ("-" when the measured n0 revealed the factor itself),
+# then the factor found
+EXACT_DRIVER_RECORDS = {
+    21: [
+        "0:0 15:- -> 3",
+        "5:19 0:19 5:8 12:- -> 3",
+        "9:- -> 3",
+        "18:- -> 3",
+        "0:5 19:10 15:- -> 3",
+        "14:- -> 7",
+        "13:5 9:- -> 3",
+        "17:5 18:- -> 3",
+        "20:10 12:- -> 3",
+        "3:- -> 3",
+        "15:- -> 3",
+        "0:12 -> 3",
+        "10:10 16:19 0:14 -> 7",
+        "19:5 3:- -> 3",
+        "15:- -> 3",
+        "16:16 12:- -> 3",
+        "9:- -> 3",
+        "5:10 11:13 9:- -> 3",
+        "15:- -> 3",
+        "3:- -> 3",
+        "17:17 7:- -> 7",
+        "15:- -> 3",
+        "10:8 3:- -> 3",
+        "15:- -> 3",
+        "0:12 -> 3",
+        "10:13 0:0 9:- -> 3",
+        "9:- -> 3",
+        "7:- -> 7",
+        "8:20 18:- -> 3",
+        "6:- -> 3",
+    ],
+    91: [
+        "0:0 72:69 73:40 42:- -> 7",
+        "26:- -> 13",
+        "42:- -> 7",
+        "84:- -> 7",
+        "0:21 -> 7",
+        "65:- -> 13",
+        "61:24 42:- -> 7",
+        "78:- -> 13",
+        "90:41 56:- -> 7",
+        "17:73 7:- -> 7",
+        "71:20 65:- -> 13",
+        "9:62 41:34 76:20 28:- -> 7",
+        "49:- -> 7",
+        "85:23 17:59 20:51 33:73 1:12 2:44 29:17 18:41 49:- -> 7",
+        "71:74 86:80 15:20 6:27 54:11 58:83 45:74 74:76 87:1 57:44 49:- -> 7",
+        "76:66 57:74 16:74 56:- -> 7",
+        "43:34 42:- -> 7",
+        "26:- -> 13",
+        "71:50 62:3 20:2 38:11 67:88 0:0 40:53 47:1 14:- -> 7",
+        "21:- -> 7",
+        "78:- -> 13",
+        "68:62 84:- -> 7",
+        "50:37 18:61 17:48 83:51 42:- -> 7",
+        "73:27 8:58 36:68 40:74 82:82 84:- -> 7",
+        "0:52 -> 13",
+        "49:- -> 7",
+        "46:50 87:6 69:16 59:33 0:78 -> 13",
+        "35:- -> 7",
+        "39:- -> 13",
+        "30:67 26:- -> 13",
+    ],
+    221: [
+        "0:0 178:166 179:97 103:108 92:142 128:124 113:168 128:198 186:129 175:113 210:23 42:59 130:- -> 13",
+        "65:- -> 13",
+        "106:72 119:- -> 17",
+        "205:18 162:188 169:- -> 13",
+        "0:51 -> 17",
+        "160:131 156:- -> 13",
+        "150:58 104:- -> 13",
+        "191:64 194:81 79:88 104:- -> 13",
+        "219:98 138:132 130:- -> 13",
+        "45:176 20:201 67:43 119:- -> 17",
+        "174:49 159:129 121:161 70:132 204:- -> 17",
+        "26:- -> 13",
+        "119:- -> 17",
+        "208:- -> 13",
+        "175:179 210:192 41:50 16:66 134:28 143:- -> 13",
+        "186:160 142:178 43:179 137:47 180:206 145:158 108:216 11:35 85:- -> 17",
+        "107:84 107:146 24:193 21:67 99:167 71:110 98:139 167:151 103:49 141:111 51:- -> 17",
+        "67:93 130:- -> 13",
+        "175:122 152:6 51:- -> 17",
+        "53:199 207:88 195:- -> 13",
+        "191:174 91:- -> 13",
+        "169:- -> 13",
+        "123:89 47:149 44:118 204:- -> 17",
+        "179:64 23:140 90:165 101:179 202:198 206:186 88:56 195:- -> 13",
+        "0:136 -> 17",
+        "121:133 0:0 117:- -> 13",
+        "115:121 213:16 169:- -> 13",
+        "87:80 195:- -> 13",
+        "99:220 195:- -> 13",
+        "78:- -> 13",
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(EXACT_DRIVER_RECORDS))
+def test_sample_factor_driver_exact_records_pinned(n):
+    run = run_exact(n)
+    for seed, pinned in enumerate(EXACT_DRIVER_RECORDS[n]):
+        res = sample_factor_driver(run, 100, seed)
+        trials = " ".join(
+            f"{r.outcome_b}:{'-' if r.outcome_a is None else r.outcome_a}" for r in res.records
+        )
+        assert f"{trials} -> {res.factor}" == pinned, f"seed {seed}"
+        assert res.succeeded and all(r.factor is None for r in res.records[:-1])
+        assert res.records[-1].factor == res.factor
 
 
 def test_sample_factor_driver_reuses_prepared_run(run91):
