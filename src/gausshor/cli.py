@@ -7,7 +7,10 @@ to the same doubles and repeated runs with one seed are byte-identical.
 Both formats render each section column by column through one cell
 formatter, which formats each distinct value of a column once.  A report
 is rendered and written in pages of at most 1,024 rows, a longer table in
-slices, so no command holds the whole text of a long report.
+slices, so no command holds the whole text of a long report.  A
+distribution section has one row per register label, in label order,
+zero-probability labels included, so its rows do not depend on whether
+rounding leaves an analytic zero at 0.0 or at 1e-35.
 
 Exit codes: 0 success, 1 driver exhausted its trial budget, 2 invalid input
 or an output file that cannot be written.
@@ -350,8 +353,8 @@ def _distribution_section(
     annotate,
     attrs: list[tuple[str, str]] | None = None,
 ) -> Section:
-    labels = np.flatnonzero(dist.probs > 0.0)
-    rows = list(zip(labels.tolist(), dist.probs[labels].tolist(), annotate(labels)))
+    labels = np.arange(len(dist.probs))
+    rows = list(zip(labels.tolist(), dist.probs.tolist(), annotate(labels)))
     return Section(name, attrs or [], ("label", "probability", "annotation"), rows)
 
 

@@ -94,10 +94,11 @@ def quadratic_phase_grid(factor, rows_a: np.ndarray, dim_b: int, n: int) -> np.n
     """New grid factor * exp[2*pi*i*m^2*l/n], one row per A index l in rows_a, built in blocks.
 
     The grid has shape (len(rows_a), dim_b): apply_quadratic_phase asks for
-    every A row, an exact run only for the representative row of each of its
-    row orbits.  factor is a scalar or a full grid.  Phase indices are
-    reduced mod n in integer arithmetic before the table lookup; an index
-    block holds about 2**16 entries, so no full index grid is built.
+    every A row; an exact run at N = p*q asks, for each prime factor f, for
+    the f rows r * (N/f), r < f, at modulus f.  factor is a scalar or a
+    full grid.  Phase indices are reduced mod n in integer arithmetic
+    before the table lookup; an index block holds about 2**16 entries, so
+    no full index grid is built.
     """
     if n < 1:
         raise ValueError(f"phase modulus must be >= 1, got {n}")

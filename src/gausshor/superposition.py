@@ -6,12 +6,11 @@ amplitudes proportional to the shifted Gauss sums W_n(l).  Measuring B
 then hands A a distribution over trial factors whose enhanced points (or
 exact zeros) mark the divisors of N.
 
-The exact run materializes the N x N grid from 9 Fourier transforms, not
-N: substituting m -> u*m for a unit u gives W_n(l * u^2) = W_{n/u}(l), so
-the rows of one orbit of l -> l * u^2 are one row with its B index
-scaled, and an odd semiprime has 9 such orbits.  Each orbit's smallest
-row is built and transformed; every other row is gathered from it.  The
-grid's rows have a circulant Gram matrix, G(l' - l, N) / N**2, so its
+The exact run splits by the Chinese remainder theorem: for N = p*q the
+shifted Gauss sum factors as W_k(l; N) = W_k(l*q; p) * W_k(l*p; q), so
+the N x N grid is the product of a p x p and a q x q grid read at the
+residues of l and k: two small FFT passes instead of N rows of length N.
+The grid's rows have a circulant Gram matrix, G(l' - l, N) / N**2, so its
 purity takes one Gram row, O(N**2), instead of the O(N**3) Gram matrix;
 three more rows are checked against that one for circulance.  The qubit variant
 works on two registers of size 2**Q > N**2 instead; its grid is never
@@ -110,121 +109,51 @@ def _check_exact(run: SuperpositionRun) -> BipartiteState:
     return run.state
 
 
-def row_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Orbits of the rows l = 0 .. n-1 under l -> l * u^2 for the units u mod n.
+def _factor_grid(n: int, f: int) -> np.ndarray:
+    """The f x f grid W_k(r * (N/f); f) / sqrt(f) over residues r = l mod f and k mod f.
 
-    Returns reps, the smallest row of each orbit in ascending order, and per
-    row l: orbit[l], the index of its representative in reps; u[l], the
-    smallest unit with l = reps[orbit[l]] * u[l]^2 (mod n); and u_inv[l],
-    its inverse mod n.  A representative's own unit is 1.  An odd semiprime
-    has 9 orbits: {0}, the four cosets of the unit squares, and two each
-    among the nonzero multiples of p and of q.
+    Built with the ops of the composed pipeline at modulus f: phases at
+    amplitude 1/f, an inverse FFT along B, a sqrt(f) scale.
     """
-    ell = np.arange(n, dtype=np.int64)
-    units = ell[np.gcd(ell, n) == 1]
-    inverses = np.array([pow(int(x), -1, n) for x in units], dtype=np.int64)
-    squares = units * units % n
-    orbit = np.full(n, -1, dtype=np.int64)
-    root = np.empty(n, dtype=np.int64)  # position in units of each row's u
-    reps = []
-    while (free := np.flatnonzero(orbit < 0)).size:
-        # np.unique's first occurrences pick the smallest root; a fancy assignment with
-        # repeated indices would leave the choice, and so the gathered bits, to numpy
-        members, first = np.unique(free[0] * squares % n, return_index=True)
-        orbit[members] = len(reps)
-        root[members] = first
-        reps.append(int(free[0]))
-    return np.array(reps, dtype=np.int64), orbit, units[root], inverses[root]
-
-
-def _gather_orbit_rows(table: np.ndarray, orbit: np.ndarray, u_inv: np.ndarray) -> np.ndarray:
-    """New N x N grid whose row l is table[orbit[l]] at the indices u_inv[l] * k mod N, k < N.
-
-    One block of the fixed row_blocks partition at a time: an integer index
-    block into the flattened table, then one gather into the grid.
-    """
-    n = table.shape[1]
-    # int32 holds every index while (N - 1)**2 < 2**31, as under the default 2**24
-    # amplitude cap; only a raised cap can need int64
-    itype = np.int32 if (n - 1) ** 2 < 1 << 31 else np.int64
-    k = np.arange(n, dtype=itype)
-    mult = u_inv.astype(itype)
-    offset = (orbit * n).astype(itype)
-    flat = table.reshape(-1)
-    amps = np.empty((n, n), dtype=np.complex128)
-    for rows in row_blocks(n, n, 1 << 16):
-        block = slice(rows[0], rows[-1] + 1)
-        idx = np.multiply.outer(mult[block], k)
-        idx %= n
-        idx += offset[block, None]
-        # idx < table.size, so "clip" never clips; unlike "raise" it writes to out unbuffered
-        np.take(flat, idx, out=amps[block], mode="clip")
-    return amps
+    grid = quadratic_phase_grid(complex(1.0 / f), np.arange(f) * (n // f), f, f)
+    np.fft.ifft(grid, axis=1, out=grid)
+    grid *= math.sqrt(f)
+    return grid
 
 
 def run_exact(n: int) -> SuperpositionRun:
     """Prepare the exact N x N state: uniform product, quadratic phase, Fourier on B.
 
-    Substituting m -> u*m for a unit u in the shifted Gauss sum gives
-    W_n(l * u^2) = W_{n/u}(l), so the rows of one orbit of l -> l * u^2
-    (row_orbits) hold the same amplitudes with the B index scaled.  Only
-    the 9 representative rows are built, with the ops and bits of
-    qft_b(apply_quadratic_phase(uniform_product(n, n), n)): phases at
-    amplitude 1/N, an inverse FFT along B, a sqrt(N) scale.  Row l is then
-    gathered from its representative's row at the indices u^-1 * k mod N,
-    and the norm is checked once.  The orbit tables are checked in integer
-    arithmetic, a handful of amplitudes against directly summed shifted
-    Gauss sums, and one gathered row per orbit against a direct sum at the
-    shift where u in place of u^-1 would change it most, before the run is
-    handed out.
+    Writing m = a*q + b*p (a < p, b < q) splits the shifted Gauss sum by
+    the Chinese remainder theorem, W_k(l; N) = W_k(l*q; p) * W_k(l*p; q),
+    each factor at its own 1/f.  So amplitude (l, k) is entry
+    (l mod p, k mod p) of a p x p factor grid times entry (l mod q, k mod q)
+    of a q x q one (_factor_grid; a grid of shape (a, b) is read at
+    (l mod a, k mod b)).  The product is written into the N x N grid a
+    block of rows at a time, the norm is checked once, and a handful of
+    amplitudes are checked against directly summed shifted Gauss sums
+    before the run is handed out.
     """
     s = factor_semiprime(n)
     check_amplitude_cap(n * n)
-    reps, orbit, u, u_inv = row_orbits(n)
-    if np.any(reps[orbit] * u * u % n != np.arange(n)) or np.any(u * u_inv % n != 1):
-        raise StateIntegrityError("row orbit tables break l = rep * u**2, u * u_inv = 1 (mod N)")
-    table = quadratic_phase_grid(complex(1.0 / n), reps, n, n)
-    np.fft.ifft(table, axis=1, out=table)
+    gp, gq = _factor_grid(n, s.p), _factor_grid(n, s.q)
+    k = np.arange(n, dtype=np.int64)
+    kp, kq = k % gp.shape[1], k % gq.shape[1]
+    amps = np.empty((n, n), dtype=np.complex128)
+    for rows in row_blocks(n, n, 1 << 14):
+        block = amps[rows[0] : rows[-1] + 1]
+        # kp < gp.shape[1], so "clip" never clips; unlike "raise" it writes to out unbuffered
+        np.take(gp[rows % gp.shape[0]], kp, axis=1, out=block, mode="clip")
+        block *= gq[rows % gq.shape[0]][:, kq]
+    state = BipartiteState(n, n, amps)
     root_n = math.sqrt(n)
-    table *= root_n
-    state = BipartiteState(n, n, _gather_orbit_rows(table, orbit, u_inv))
     for ell, shift in ((0, 0), (1, 0), (1, 1), (s.p, 2 * s.p), (s.q, 1), (n - 1, n - 1)):
         expected = eval_W(shift, ell, n) / root_n
         if abs(state.amps[ell, shift] - expected) > 1e-9:
             raise StateIntegrityError(
                 f"amplitude ({ell}, {shift}) disagrees with direct summation"
             )
-    _check_gathered_rows(state.amps, table, orbit, u, u_inv)
     return SuperpositionRun(s=s, state=state)
-
-
-def _check_gathered_rows(
-    amps: np.ndarray, table: np.ndarray, orbit: np.ndarray, u: np.ndarray, u_inv: np.ndarray
-) -> None:
-    """Check one gathered row of each orbit against a directly summed amplitude.
-
-    The row and shift are those, among an orbit's first four gathered rows,
-    where gathering at u * k instead of u^-1 * k would change the amplitude
-    most.  The two agree only where u**4 = 1 modulo N / gcd(rep, N), true
-    of at most three gathered rows of an orbit, so four candidates find a
-    distinguishing row whenever the orbit has one.
-    """
-    n = len(orbit)
-    k = np.arange(n, dtype=np.int64)
-    roots = phase_roots(n)
-    for i, ref in enumerate(table):
-        rows = np.flatnonzero(orbit == i)[1:5]  # the first is the representative
-        if rows.size == 0:
-            continue
-        swing = np.abs(ref[np.outer(u_inv[rows], k) % n] - ref[np.outer(u[rows], k) % n])
-        row, shift = np.unravel_index(np.argmax(swing), swing.shape)
-        ell = int(rows[row])
-        # ell * k**2 + shift * k < 2 * N**3 < 2**63: reduced exactly before the lookup
-        direct = np.sum(roots[(ell * k * k + shift * k) % n]) / (n * math.sqrt(n))
-        if abs(amps[ell, shift] - direct) > 1e-9:
-            raise StateIntegrityError(
-                f"amplitude ({ell}, {shift}) of row orbit {i} disagrees with direct summation"
-            )
 
 
 def p_b_distribution(run: SuperpositionRun) -> Distribution:

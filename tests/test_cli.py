@@ -246,6 +246,17 @@ def test_superposition_driver_and_conditional(tmp_path, capsys):
     assert sm["total_useful"] == pytest.approx(3097 / 8281, abs=1e-9)
 
 
+def test_distribution_section_lists_every_label(capsys):
+    # labels 0 and 10 have probability zero up to rounding; whether the build
+    # leaves them 0.0 or 1e-34 must not decide whether they get a row
+    rc, out, _ = run_main(
+        "superposition", "--n", "15", "--n0", "3", "--report", "conditional", capsys=capsys
+    )
+    assert rc == 0
+    cond = parse_csv_sections(out)["conditional n0=3"]
+    assert [int(r["label"]) for r in cond] == list(range(15))
+
+
 def test_superposition_mode_validation(capsys):
     rc, _, err = run_main(
         "superposition", "--n", "21", "--mode", "qubit", "--q", "9",

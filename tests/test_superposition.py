@@ -16,6 +16,7 @@ from gausshor.states import (
     purity_a,
     purity_closed,
     qft_b,
+    quadratic_phase_grid,
     row_blocks,
     sample_outcome,
     uniform_product,
@@ -402,16 +403,17 @@ def test_pb_brute_force_oracle_cross_check():
 
 
 # p and q cover 1 and 3 mod 4, which decide whether -1 is a square mod N
-ORBIT_NS = (15, 21, 33, 65, 91, 221, 899)
+CRT_NS = (15, 21, 33, 65, 91, 221, 899)
 
 
-@pytest.mark.parametrize("n", ORBIT_NS)
+@pytest.mark.parametrize("n", CRT_NS)
 def test_run_exact_orbit_build_matches_composition(n):
+    """run_exact's CRT build agrees with the composed pipeline over the whole grid.
+
+    The name is kept from the row-orbit build this check first covered.
+    """
     composed = qft_b(apply_quadratic_phase(uniform_product(n, n), n)).amps
-    amps = run_exact(n).state.amps
-    reps = superposition.row_orbits(n)[0]
-    assert np.array_equal(amps[reps], composed[reps])
-    assert np.max(np.abs(amps - composed)) <= 1e-15
+    assert np.max(np.abs(run_exact(n).state.amps - composed)) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [15, 21, 33, 35])
@@ -422,70 +424,36 @@ def test_run_exact_matches_direct_sums(n):
     assert np.max(np.abs(run_exact(n).state.amps - direct / math.sqrt(n))) <= 1e-14
 
 
-def test_odd_semiprimes_below_500_have_nine_row_orbits():
-    checked = 0
-    for n in range(15, 500, 2):
-        try:
-            factor_semiprime(n)
-        except NotSemiprimeError:
-            continue
-        reps, orbit, u, u_inv = superposition.row_orbits(n)
-        ell = np.arange(n)
-        units = ell[np.gcd(ell, n) == 1]
-        # each row's orbit minimum, from every unit square at once
-        assert np.array_equal(reps[orbit], (np.outer(ell, units * units) % n).min(axis=1)), n
-        assert len(reps) == 9, n
-        assert np.array_equal(reps[orbit] * u * u % n, ell), n
-        assert np.all(u * u_inv % n == 1), n
-        checked += 1
-    assert checked == 93
+def _grid_with_rows(f: int, rows: np.ndarray) -> np.ndarray:
+    """What _factor_grid builds when row r carries the phase of l = rows[r] instead of r * N/f."""
+    grid = quadratic_phase_grid(complex(1.0 / f), rows, f, f)
+    return np.fft.ifft(grid, axis=1) * math.sqrt(f)
 
 
-@pytest.mark.parametrize("i", range(1, 9))
-def test_run_exact_rejects_u_for_u_inverse_in_orbit_tables(monkeypatch, i):
-    row_orbits = superposition.row_orbits
+FACTOR_GRID_MUTANTS = {
+    "cofactor l*f": lambda n, f: _grid_with_rows(f, np.arange(f) * f),
+    "cofactor 1": lambda n, f: _grid_with_rows(f, np.arange(f)),
+    "cofactor inverse": lambda n, f: _grid_with_rows(f, np.arange(f) * pow(n // f, -1, f)),
+}
 
-    def mutant(n):
-        reps, orbit, u, u_inv = row_orbits(n)
-        return reps, orbit, u, np.where(orbit == i, u, u_inv)
 
-    monkeypatch.setattr(superposition, "row_orbits", mutant)
+@pytest.mark.parametrize("n", [15, 91, 221])
+@pytest.mark.parametrize("mutant", [*FACTOR_GRID_MUTANTS, "columns k mod p"])
+def test_run_exact_spot_checks_catch_a_mutant_factor_grid(monkeypatch, n, mutant):
+    """A factor grid at the wrong cofactor, or read at the wrong column, fails run_exact's checks.
+
+    The cofactor mutants keep the norm and fail an eval_W spot check; the
+    column mutant fails the norm check, and the (p, 2p) spot check without it.
+    """
+    factor_grid = superposition._factor_grid
+    p = factor_semiprime(n).p
+    if mutant == "columns k mod p":
+        # a grid is read at column k mod its width, so a q x p grid is read at k mod p
+        monkeypatch.setattr(superposition, "_factor_grid", lambda n, f: factor_grid(n, f)[:, :p])
+    else:
+        monkeypatch.setattr(superposition, "_factor_grid", FACTOR_GRID_MUTANTS[mutant])
     with pytest.raises(StateIntegrityError):
-        run_exact(91)
-
-
-@pytest.mark.parametrize("ell", [1, 2, 7, 45, 90])
-def test_run_exact_rejects_a_row_pointed_at_the_wrong_representative(monkeypatch, ell):
-    row_orbits = superposition.row_orbits
-
-    def mutant(n):
-        reps, orbit, u, u_inv = row_orbits(n)
-        orbit = orbit.copy()
-        orbit[ell] = (orbit[ell] + 1) % len(reps)
-        return reps, orbit, u, u_inv
-
-    monkeypatch.setattr(superposition, "row_orbits", mutant)
-    with pytest.raises(StateIntegrityError):
-        run_exact(91)
-
-
-@pytest.mark.parametrize("n", [91, 221])
-@pytest.mark.parametrize("i", range(1, 9))
-def test_run_exact_spot_checks_catch_a_mutant_gather(monkeypatch, n, i):
-    """With correct orbit tables, a gather that mishandles one orbit is caught by its spot check."""
-    gather = superposition._gather_orbit_rows
-
-    def u_for_u_inverse(table, orbit, u_inv):
-        u = np.array([pow(int(x), -1, n) for x in u_inv])
-        return gather(table, orbit, np.where(orbit == i, u, u_inv))
-
-    def wrong_representative(table, orbit, u_inv):
-        return gather(table, np.where(orbit == i, i % 8 + 1, orbit), u_inv)
-
-    for mutant in (u_for_u_inverse, wrong_representative):
-        monkeypatch.setattr(superposition, "_gather_orbit_rows", mutant)
-        with pytest.raises(StateIntegrityError):
-            run_exact(n)
+        run_exact(n)
 
 
 def test_qubit_run_builds_marginal_on_demand(monkeypatch):
