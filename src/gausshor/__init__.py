@@ -62,6 +62,7 @@ from .superposition import (
     SuccessMass,
     SuperpositionRun,
     conditional_after_peak,
+    exact_conditional,
     factor_mass_a,
     p_b_closed_reference,
     p_b_distribution,

@@ -30,7 +30,7 @@ import numpy as np
 from . import shor_gauss, superposition
 from .kernels import eval_G, eval_truncated, eval_W, g_of
 from .numtheory import Semiprime, factor_semiprime
-from .states import AmplitudeCapError, Distribution, conditional_a, purity_closed
+from .states import AmplitudeCapError, Distribution, purity_closed
 
 SCHEMA_VERSION = 1
 
@@ -545,7 +545,7 @@ def cmd_superposition(cfg: RunConfig) -> int:
         sections.append(_distribution_section("pb", dist, annotate))
     if cfg.n0 is not None and report in ("all", "conditional"):
         if mode == "exact":
-            cond = _checked(conditional_a, run.state, cfg.n0)
+            cond = _checked(superposition.exact_conditional, run, cfg.n0)
         else:
             cond = _checked(superposition.conditional_after_peak, run, cfg.n0)
         sections.append(

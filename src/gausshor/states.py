@@ -63,9 +63,14 @@ def check_amplitude_cap(n_amplitudes: int) -> None:
     """Reject dense allocations beyond the configured amplitude budget."""
     cap = amplitude_cap()
     if n_amplitudes > cap:
-        raise AmplitudeCapError(
-            f"state with {n_amplitudes} amplitudes exceeds cap {cap}"
-        )
+        raise AmplitudeCapError(f"state with {n_amplitudes} amplitudes exceeds cap {cap}")
+
+
+def check_unit_norm(amps: np.ndarray) -> None:
+    """Raise StateIntegrityError unless the squared norm of amps is 1 within NORM_TOL."""
+    norm_sq = float(np.vdot(amps, amps).real)  # vdot flattens
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
+        raise StateIntegrityError(f"squared norm {norm_sq!r} deviates from 1")
 
 
 def abs_sq(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -124,13 +129,8 @@ class BipartiteState:
         if self.dim_a < 1 or self.dim_b < 1:
             raise ValueError("dimensions must be >= 1")
         if self.amps.shape != (self.dim_a, self.dim_b):
-            raise ValueError(
-                f"amplitude grid {self.amps.shape} != ({self.dim_a}, {self.dim_b})"
-            )
-        flat = self.amps.reshape(-1)
-        norm_sq = float(np.vdot(flat, flat).real)
-        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
-            raise StateIntegrityError(f"squared norm {norm_sq!r} deviates from 1")
+            raise ValueError(f"amplitude grid {self.amps.shape} != ({self.dim_a}, {self.dim_b})")
+        check_unit_norm(self.amps)
         self.amps.setflags(write=False)
 
 

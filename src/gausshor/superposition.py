@@ -6,25 +6,14 @@ amplitudes proportional to the shifted Gauss sums W_n(l).  Measuring B
 then hands A a distribution over trial factors whose enhanced points (or
 exact zeros) mark the divisors of N.
 
-The exact run splits by the Chinese remainder theorem: for N = p*q the
-shifted Gauss sum factors as W_k(l; N) = W_k(l*q; p) * W_k(l*p; q), so
-the N x N grid is the product of a p x p and a q x q grid read at the
-residues of l and k: two small FFT passes instead of N rows of length N.
-The grid's rows have a circulant Gram matrix, G(l' - l, N) / N**2, so its
-purity takes one Gram row, O(N**2), instead of the O(N**3) Gram matrix;
-three more rows are checked against that one for circulance.  The qubit variant
-works on two registers of size 2**Q > N**2 instead; its grid is never
-materialized, and a qubit run carries no B marginal until one is asked
-for, so a report on the conditional column alone never builds it.  Its
-amplitudes depend on the A index l only through the residue l mod N, and
-on the B index m of the quadratic phase only through m^2 mod N.  So the
-marginal takes N residue rows, each one FFT of a quadratic-phase vector
-gathered from one N x N root table, and weights each by the number of
-register rows that share its residue; residues are processed in fixed
-blocks, in ascending order, so results do not depend on how the work is
-scheduled.  The conditional column at one bin groups its 2**Q linear
-phases by m^2 mod N and takes one length-N inverse FFT of the N class
-sums, with no N x 2**Q work at all.
+An exact run keeps only the p x p and q x q factor grids of the Chinese
+remainder split W_k(l; pq) = W_k(l q; p) W_k(l p; q) (run_exact); its B
+marginal, conditional columns and purity are read from the two grids, and
+no N x N grid is formed.  The qubit variant works on two registers of size
+2**Q > N**2; its amplitudes depend on l only through l mod N and on m
+only through m^2 mod N, so its marginal folds N residue rows
+(qubit_marginal) and its conditional column is one length-N inverse FFT
+of residue-class sums (_qubit_conditional_probs), with no N x 2**Q work.
 """
 
 from __future__ import annotations
@@ -39,13 +28,12 @@ import numpy as np
 from .kernels import eval_W
 from .numtheory import Semiprime, factor_semiprime, gcd_conv, nontrivial_divisor
 from .states import (
-    BipartiteState,
     Distribution,
     StateIntegrityError,
+    ZeroMarginalError,
     abs_sq,
     check_amplitude_cap,
-    conditional_a,
-    marginal_b,
+    check_unit_norm,
     phase_roots,
     quadratic_phase_grid,
     row_blocks,
@@ -56,8 +44,7 @@ from .trials import DriverResult, TrialRecord, drive
 
 MAX_QUBIT_BITS = 20
 _BLOCK_ENTRIES = 1 << 20  # residue rows per block are sized against this
-# Gram entries are at most 1/N, a row's squared norm; exact runs depart from
-# circulance by under 1e-16, a row with permuted entries by about N**-1.5
+# f x f Gram entries are <= 1/f; exact grids are circulant to 1e-16, a permuted row is ~f**-1.5 off
 _CIRCULANCE_TOL = 1e-12
 
 
@@ -65,14 +52,14 @@ _CIRCULANCE_TOL = 1e-12
 class SuperpositionRun:
     """One prepared instance of the algorithm.
 
-    An exact run carries the full N x N post-Fourier state; a qubit run
-    carries only the validated Q of its 2**Q register pair.  Neither holds
-    a B marginal until pb_probs is first read.
+    An exact run carries the read-only p x p and q x q factor grids of its
+    state; a qubit run carries only the validated Q of its 2**Q register
+    pair.  Neither holds a B marginal until pb_probs is first read.
     """
 
     s: Semiprime
     q_bits: int | None = None
-    state: BipartiteState | None = None
+    grids: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -80,10 +67,12 @@ class SuperpositionRun:
 
     @functools.cached_property
     def pb_probs(self) -> np.ndarray:
-        """B marginal, built on first use: brute force, or the residue-folded qubit marginal."""
-        if self.state is not None:
-            return marginal_b(self.state).probs
-        return qubit_marginal(self.n, self.q_bits)
+        """B marginal on first use: the product of the grids' column sums, or the qubit fold."""
+        if self.grids is None:
+            return qubit_marginal(self.n, self.q_bits)
+        k = np.arange(self.n)
+        pb_p, pb_q = (np.sum(abs_sq(g), axis=0) for g in self.grids)
+        return pb_p[k % self.s.p] * pb_q[k % self.s.q]
 
 
 @dataclass(frozen=True)
@@ -103,10 +92,10 @@ class SuccessMass:
         return self.p_b_zero + self.p_b_factor_multiple
 
 
-def _check_exact(run: SuperpositionRun) -> BipartiteState:
-    if run.state is None:
+def _check_exact(run: SuperpositionRun) -> tuple[np.ndarray, np.ndarray]:
+    if run.grids is None:
         raise ValueError("operation requires an exact-dimension run")
-    return run.state
+    return run.grids
 
 
 def _factor_grid(n: int, f: int) -> np.ndarray:
@@ -122,42 +111,39 @@ def _factor_grid(n: int, f: int) -> np.ndarray:
 
 
 def run_exact(n: int) -> SuperpositionRun:
-    """Prepare the exact N x N state: uniform product, quadratic phase, Fourier on B.
+    """Prepare the exact state (uniform product, quadratic phase, Fourier on B) as two factor grids.
 
     Writing m = a*q + b*p (a < p, b < q) splits the shifted Gauss sum by
     the Chinese remainder theorem, W_k(l; N) = W_k(l*q; p) * W_k(l*p; q),
-    each factor at its own 1/f.  So amplitude (l, k) is entry
-    (l mod p, k mod p) of a p x p factor grid times entry (l mod q, k mod q)
-    of a q x q one (_factor_grid; a grid of shape (a, b) is read at
-    (l mod a, k mod b)).  The product is written into the N x N grid a
-    block of rows at a time, the norm is checked once, and a handful of
-    amplitudes are checked against directly summed shifted Gauss sums
-    before the run is handed out.
+    each factor at its own 1/f: amplitude (l, k) is entry (l mod p, k mod p)
+    of a p x p grid times entry (l mod q, k mod q) of a q x q one
+    (_factor_grid), and the cap guards their p**2 + q**2 entries.  Each
+    grid's norm is checked, and its entries (0, 0), (1, 0), (1, 1) and
+    (f-1, f-1) against eval_W at modulus f, O(f) each; the recombined
+    amplitude (N-2, N-1) against a vectorized direct sum at modulus N.
     """
     s = factor_semiprime(n)
-    check_amplitude_cap(n * n)
-    gp, gq = _factor_grid(n, s.p), _factor_grid(n, s.q)
-    k = np.arange(n, dtype=np.int64)
-    kp, kq = k % gp.shape[1], k % gq.shape[1]
-    amps = np.empty((n, n), dtype=np.complex128)
-    for rows in row_blocks(n, n, 1 << 14):
-        block = amps[rows[0] : rows[-1] + 1]
-        # kp < gp.shape[1], so "clip" never clips; unlike "raise" it writes to out unbuffered
-        np.take(gp[rows % gp.shape[0]], kp, axis=1, out=block, mode="clip")
-        block *= gq[rows % gq.shape[0]][:, kq]
-    state = BipartiteState(n, n, amps)
-    root_n = math.sqrt(n)
-    for ell, shift in ((0, 0), (1, 0), (1, 1), (s.p, 2 * s.p), (s.q, 1), (n - 1, n - 1)):
-        expected = eval_W(shift, ell, n) / root_n
-        if abs(state.amps[ell, shift] - expected) > 1e-9:
-            raise StateIntegrityError(
-                f"amplitude ({ell}, {shift}) disagrees with direct summation"
-            )
-    return SuperpositionRun(s=s, state=state)
+    check_amplitude_cap(s.p * s.p + s.q * s.q)
+    run = SuperpositionRun(s=s, grids=(_factor_grid(n, s.p), _factor_grid(n, s.q)))
+    checks = []  # (where, amplitude, direct sum)
+    for g in run.grids:
+        f = len(g)
+        check_unit_norm(g)
+        g.setflags(write=False)
+        for r, k in ((0, 0), (1, 0), (1, 1), (f - 1, f - 1)):
+            direct = eval_W(k, r * (n // f), f) / math.sqrt(f)
+            checks.append((f"({r}, {k}) mod {f}", g[r, k], direct))
+    ell, k, m = n - 2, n - 1, np.arange(n, dtype=np.int64)
+    direct = np.sum(phase_roots(n)[(m * m % n * ell + m * k) % n]) / (n * math.sqrt(n))
+    checks.append((f"({ell}, {k}) mod {n}", _amplitudes(run, ell, k), direct))
+    for where, got, expected in checks:
+        if abs(got - expected) > 1e-9:
+            raise StateIntegrityError(f"amplitude {where} disagrees with direct summation")
+    return run
 
 
 def p_b_distribution(run: SuperpositionRun) -> Distribution:
-    """Marginal of the B register: exact brute force, or the residue-folded qubit marginal."""
+    """Marginal of the B register: factored from the exact grids, or residue-folded (qubit)."""
     return Distribution(run.pb_probs)
 
 
@@ -170,8 +156,7 @@ def _factor_residues(s: Semiprime) -> np.ndarray:
 def success_mass(run: SuperpositionRun) -> SuccessMass:
     """Split the exact B marginal by the divisor class of the outcome."""
     _check_exact(run)
-    probs = run.pb_probs
-    factor_mask = _factor_residues(run.s)
+    probs, factor_mask = run.pb_probs, _factor_residues(run.s)
     coprime_mask = ~factor_mask
     coprime_mask[0] = False  # residue 0 is the multiple of N
     zero = float(probs[0])
@@ -180,33 +165,49 @@ def success_mass(run: SuperpositionRun) -> SuccessMass:
     return SuccessMass(zero, factor, coprime)
 
 
+def _amplitudes(run: SuperpositionRun, ell, n0: int):
+    """The (l, n0) amplitudes for l in ell: gp[l mod p, n0 mod p] * gq[l mod q, n0 mod q]."""
+    gp, gq = _check_exact(run)
+    p, q = run.s.p, run.s.q
+    return gp[ell % p, n0 % p] * gq[ell % q, n0 % q]
+
+
+def exact_conditional(run: SuperpositionRun, n0: int) -> Distribution:
+    """A-register distribution of an exact run given the B outcome n0, from one O(N) column."""
+    if not (0 <= n0 < run.n):
+        raise ValueError(f"outcome {n0} outside B register of size {run.n}")
+    weights = abs_sq(_amplitudes(run, np.arange(run.n), n0))
+    mass = float(np.sum(weights))
+    if mass <= 1e-12:
+        raise ZeroMarginalError(f"outcome {n0} has marginal probability {mass!r}")
+    return Distribution(weights / mass)
+
+
 def factor_mass_a(run: SuperpositionRun, n0: int) -> float:
     """Probability that the conditional A sample is a nonzero multiple of p or q."""
-    cond = conditional_a(_check_exact(run), n0)
+    cond = exact_conditional(run, n0)
     return float(np.sum(cond.probs[_factor_residues(run.s)]))
 
 
 def purity(run: SuperpositionRun) -> float:
-    """Purity Tr(rho_A^2) of an exact run, from one row of its circulant Gram matrix.
+    """Purity Tr(rho_A^2) of an exact run: the product of its factor grids' purities.
 
-    The Fourier step on B is unitary, so the Gram matrix G[l, l'] =
-    <row_l, row_l'> of the run's rows is that of the phase grid,
-    G(l' - l, N) / N**2: circulant in (l' - l) mod N.  Hence Tr(rho_A^2) =
-    N * sum_l |G[0, l]|^2, from the one product g = a @ conj(a[0]).  Rows
-    l = 1, N//3 and N-1 of the Gram matrix are formed too and must equal g
-    rolled by l; each reads every row of the grid, so a corrupted row
-    raises StateIntegrityError.
+    A grid's rows are those of a phase grid after a unitary Fourier step,
+    so its Gram matrix G[r, r'] = <row_r, row_r'> is circulant in r' - r
+    mod f and its purity is f * sum_r |G[0, r]|^2, from g = a @ conj(a[0]).
+    Gram rows 1, f//3 and f-1 must equal g rolled by r; each reads every
+    row of the grid, so a corrupted row raises StateIntegrityError.
     """
-    a = _check_exact(run).amps
-    n = run.n
-    g = a @ np.conj(a[0])
-    for ell in (1, n // 3, n - 1):
-        residual = float(np.max(np.abs(a @ np.conj(a[ell]) - np.roll(g, ell))))
-        if residual > _CIRCULANCE_TOL:
-            raise StateIntegrityError(
-                f"Gram row {ell} departs from the rolled row 0 by {residual!r}"
-            )
-    return n * float(np.sum(abs_sq(g)))
+    total = 1.0
+    for a in _check_exact(run):
+        f = len(a)
+        g = a @ np.conj(a[0])
+        for r in (1, f // 3, f - 1):
+            residual = float(np.max(np.abs(a @ np.conj(a[r]) - np.roll(g, r))))
+            if residual > _CIRCULANCE_TOL:
+                raise StateIntegrityError(f"grid {f} Gram row {r} off circulance by {residual!r}")
+        total *= f * float(np.sum(abs_sq(g)))
+    return total
 
 
 def run_qubit(n: int, q_bits: int) -> SuperpositionRun:
@@ -373,10 +374,8 @@ def sample_factor_driver(run: SuperpositionRun, max_trials: int, seed: int) -> D
         factor = nontrivial_divisor(peak_index(n0, n, len(pb_cdf)), n)
         ell = None
         if factor is None:
-            if run.state is not None:
-                cond = conditional_a(run.state, n0).probs
-            else:
-                cond = _qubit_conditional_probs(run, n0)
+            exact = run.grids is not None
+            cond = exact_conditional(run, n0).probs if exact else _qubit_conditional_probs(run, n0)
             ell = sample_outcome(cond, rng)
             factor = nontrivial_divisor(ell, n)
         return TrialRecord(t, n0, outcome_a=ell, factor=factor)

@@ -205,8 +205,7 @@ def test_criterion_07_superposition_marginal():
 
 
 def test_criterion_08_conditional_masses():
-    from gausshor.states import conditional_a
-    from gausshor.superposition import factor_mass_a
+    from gausshor.superposition import exact_conditional, factor_mass_a
 
     run = run_exact(91)
     m0 = factor_mass_a(run, 0)
@@ -221,7 +220,7 @@ def test_criterion_08_conditional_masses():
     worst = 0.0
     for n0 in range(1, 91):
         if gcd_conv(n0, 91) == 1:
-            cond = conditional_a(run.state, n0)
+            cond = exact_conditional(run, n0)
             worst = max(worst, float(np.max(cond.probs[factor_mult])))
     assert worst < 1e-12
     _verdict(

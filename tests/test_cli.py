@@ -361,6 +361,17 @@ def test_memory_cap_env_respected(monkeypatch, capsys):
     assert "cap" in err
 
 
+def test_exact_cap_guards_the_factor_grids(capsys):
+    """The cap counts the p**2 + q**2 factor-grid entries, not N**2."""
+    rc, out, err = run_main("purity", "--n", "4097", capsys=capsys)  # 17 * 241
+    assert rc == 0 and err == ""
+    rows = {r["field"]: r["value"] for r in parse_csv_sections(out)["purity"]}
+    assert abs(float(rows["measured"]) - float(rows["closed_float"])) <= 1e-15
+    rc, out, err = run_main("purity", "--n", "12297", capsys=capsys)  # 3 * 4099
+    assert rc == 2 and out == ""
+    assert err == "error: state with 16801810 amplitudes exceeds cap 16777216\n"
+
+
 def test_shor_gauss_respects_amplitude_cap(monkeypatch, capsys):
     args = ("shor-gauss", "--n", "35", "--q", "11")
     assert run_main(*args, "--trials", "2", capsys=capsys)[0] == 0  # warms the tables

@@ -27,7 +27,6 @@ from gausshor.states import (
     sample_outcome,
     uniform_product,
 )
-from gausshor.superposition import run_exact
 from gausshor.trials import trial_rng
 
 import oracles
@@ -132,7 +131,7 @@ def test_marginal_b_examples():
 
 @pytest.mark.parametrize("n", [437, 899])
 def test_marginal_b_blocks_keep_full_grid_bits(n):
-    state = run_exact(n).state
+    state = psi2(n)
     assert states._GRAM_BLOCK_ENTRIES // n < n  # several row blocks
     assert np.array_equal(marginal_b(state).probs, np.sum(states.abs_sq(state.amps), axis=0))
 
@@ -192,7 +191,7 @@ def gram_purity(a: np.ndarray) -> float:
 
 @pytest.mark.parametrize("n", [15, 21, 91, 221, 899])
 def test_purity_matches_full_gram_bits(n):
-    state = run_exact(n).state
+    state = psi2(n)
     assert purity_a(state) == gram_purity(state.amps)
 
 
@@ -217,7 +216,7 @@ def test_purity_non_square(shape):
 
 def test_purity_peak_allocation_below_one_complex_grid():
     n = 899
-    state = run_exact(n).state
+    state = psi2(n)
     tracemalloc.start()
     try:
         purity_a(state)

@@ -25,6 +25,7 @@ from gausshor import superposition
 from gausshor.superposition import (
     _qubit_conditional_probs,
     conditional_after_peak,
+    exact_conditional,
     factor_mass_a,
     p_b_closed_reference,
     p_b_distribution,
@@ -46,6 +47,14 @@ def run91():
     return run_exact(91)
 
 
+def dense_amps(run) -> np.ndarray:
+    """The N x N amplitude grid of an exact run, rebuilt from its two factor grids."""
+    gp, gq = run.grids
+    p, q = run.s.p, run.s.q
+    idx = np.arange(run.n)
+    return gp[np.ix_(idx % p, idx % p)] * gq[np.ix_(idx % q, idx % q)]
+
+
 def test_run_exact_rejections():
     with pytest.raises(NotSemiprimeError):
         run_exact(9)  # prime power
@@ -56,8 +65,9 @@ def test_run_exact_rejections():
 
 
 def test_run_exact_normalization_and_entries(run91):
-    assert np.sum(np.abs(run91.state.amps) ** 2) == pytest.approx(1.0, abs=1e-9)
-    assert run91.state.amps[1, 0] == pytest.approx(
+    amps = dense_amps(run91)
+    assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-9)
+    assert amps[1, 0] == pytest.approx(
         oracles.shifted_sum_direct(0, 1, 91) / math.sqrt(91), abs=1e-9
     )
 
@@ -70,10 +80,8 @@ def test_p_b_values(run91):
 
 
 def test_p_b_zero_equals_purity(run91):
-    from gausshor.states import purity_a
-
     assert p_b_distribution(run91).probs[0] == pytest.approx(
-        purity_a(run91.state), abs=1e-9
+        purity_a(BipartiteState(91, 91, dense_amps(run91))), abs=1e-9
     )
 
 
@@ -126,7 +134,7 @@ def test_conditional_zero_structure(run91):
     factor_mult = [l for l in range(1, n) if math.gcd(l, n) in (7, 13)]
     for n0 in range(1, n):
         if math.gcd(n0, n) == 1:
-            cond = conditional_a(run91.state, n0)
+            cond = exact_conditional(run91, n0)
             assert float(np.max(cond.probs[factor_mult])) < 1e-12
 
 
@@ -413,7 +421,7 @@ def test_run_exact_orbit_build_matches_composition(n):
     The name is kept from the row-orbit build this check first covered.
     """
     composed = qft_b(apply_quadratic_phase(uniform_product(n, n), n)).amps
-    assert np.max(np.abs(run_exact(n).state.amps - composed)) <= 1e-15
+    assert np.max(np.abs(dense_amps(run_exact(n)) - composed)) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [15, 21, 33, 35])
@@ -421,7 +429,7 @@ def test_run_exact_matches_direct_sums(n):
     direct = np.array(
         [[oracles.shifted_sum_direct(n0, ell, n) for n0 in range(n)] for ell in range(n)]
     )
-    assert np.max(np.abs(run_exact(n).state.amps - direct / math.sqrt(n))) <= 1e-14
+    assert np.max(np.abs(dense_amps(run_exact(n)) - direct / math.sqrt(n))) <= 1e-14
 
 
 def _grid_with_rows(f: int, rows: np.ndarray) -> np.ndarray:
@@ -440,15 +448,15 @@ FACTOR_GRID_MUTANTS = {
 @pytest.mark.parametrize("n", [15, 91, 221])
 @pytest.mark.parametrize("mutant", [*FACTOR_GRID_MUTANTS, "columns k mod p"])
 def test_run_exact_spot_checks_catch_a_mutant_factor_grid(monkeypatch, n, mutant):
-    """A factor grid at the wrong cofactor, or read at the wrong column, fails run_exact's checks.
+    """A factor grid at the wrong cofactor, or with too few columns, fails run_exact's checks.
 
-    The cofactor mutants keep the norm and fail an eval_W spot check; the
-    column mutant fails the norm check, and the (p, 2p) spot check without it.
+    The cofactor mutants keep the norm and fail their grid's (1, 0) or
+    (1, 1) eval_W spot check; the column mutant fails its grid's norm check.
     """
     factor_grid = superposition._factor_grid
     p = factor_semiprime(n).p
     if mutant == "columns k mod p":
-        # a grid is read at column k mod its width, so a q x p grid is read at k mod p
+        # a q x p grid in place of the q x q one, as if column k were read at k mod p
         monkeypatch.setattr(superposition, "_factor_grid", lambda n, f: factor_grid(n, f)[:, :p])
     else:
         monkeypatch.setattr(superposition, "_factor_grid", FACTOR_GRID_MUTANTS[mutant])
@@ -615,18 +623,92 @@ SWEEP_NS = (15, 21, 35, 91, 221, 899, 1147, 1763)
 def test_purity_one_gram_row_matches_full_gram_and_closed_form(n):
     run = run_exact(n)
     measured = superposition.purity(run)
-    assert abs(measured - purity_a(run.state)) <= 1e-15
+    assert abs(measured - purity_a(BipartiteState(n, n, dense_amps(run)))) <= 1e-15
     assert abs(measured - float(purity_closed(run.s))) <= 1e-15
     if n <= 91:
         assert abs(measured - oracles.purity_brute(n)) <= 1e-15
 
 
-@pytest.mark.parametrize("k", [2, 7, 45, 89])  # not 0, 1, N//3 = 30 or N-1 = 90
+@pytest.mark.parametrize("k", [2, 7, 45, 89])
 def test_purity_rejects_a_permuted_row(run91, k):
-    """Permuting one row keeps the norm but breaks the Gram matrix's circulance."""
-    n = run91.n
-    amps = run91.state.amps.copy()
-    amps[k] = amps[k, np.random.default_rng(k).permutation(n)]
-    mutant = superposition.SuperpositionRun(s=run91.s, state=BipartiteState(n, n, amps))
-    with pytest.raises(StateIntegrityError):
-        superposition.purity(mutant)
+    """A-register row k is row k mod p of gp times row k mod q of gq.
+
+    Permuting either factor row keeps that grid's norm but breaks the
+    circulance of its Gram matrix.  The permutation is one random f-cycle,
+    so no entry stays in place, not even row 0's single nonzero one.
+    """
+    for which, grid in enumerate(run91.grids):
+        f = len(grid)
+        order = np.random.default_rng(k).permutation(f)
+        cycle = np.empty(f, dtype=np.int64)
+        cycle[order] = np.roll(order, -1)
+        rows = grid.copy()
+        rows[k % f] = rows[k % f, cycle]
+        grids = (rows, run91.grids[1]) if which == 0 else (run91.grids[0], rows)
+        mutant = superposition.SuperpositionRun(s=run91.s, grids=grids)
+        with pytest.raises(StateIntegrityError, match=f"grid {f} Gram row"):
+            superposition.purity(mutant)
+
+
+@pytest.mark.parametrize("scaled", ["p", "q"])
+def test_run_exact_rejects_a_scaled_factor_grid(monkeypatch, scaled):
+    factor_grid = superposition._factor_grid
+    f_scaled = getattr(factor_semiprime(91), scaled)
+    monkeypatch.setattr(
+        superposition,
+        "_factor_grid",
+        lambda n, f: factor_grid(n, f) * (1.001 if f == f_scaled else 1.0),
+    )
+    with pytest.raises(StateIntegrityError, match="squared norm"):
+        run_exact(91)
+
+
+@pytest.mark.parametrize("n", [15, 21, 35, 91, 221])
+def test_exact_readers_match_the_dense_rebuild(n):
+    """pb and every conditional column read from the grids agree with the dense grid."""
+    run = run_exact(n)
+    dense = BipartiteState(n, n, dense_amps(run))
+    assert np.max(np.abs(run.pb_probs - marginal_b(dense).probs)) <= 1e-15
+    for n0 in range(n):
+        if marginal_b(dense).probs[n0] > 1e-12:
+            assert np.array_equal(exact_conditional(run, n0).probs, conditional_a(dense, n0).probs)
+
+
+@pytest.mark.parametrize("n", SWEEP_NS)
+def test_factored_pb_and_success_mass_match_exact_rationals(n):
+    """pb[0] = (2p-1)(2q-1)/N**2, gcd p: (2p-1)(q-1)/N**2, gcd q: (p-1)(2q-1)/N**2, else (p-1)(q-1)/N**2."""
+    run = run_exact(n)
+    p, q = run.s.p, run.s.q
+    k = np.arange(n)
+    num = np.where(k % p == 0, 2 * p - 1, p - 1) * np.where(k % q == 0, 2 * q - 1, q - 1)
+    assert np.max(np.abs(run.pb_probs - num / (n * n))) <= 1e-15
+    zero = Fraction((2 * p - 1) * (2 * q - 1), n * n)
+    factor = Fraction((q - 1) ** 2 * (2 * p - 1) + (p - 1) ** 2 * (2 * q - 1), n * n)
+    sm = success_mass(run)
+    assert abs(sm.p_b_zero - float(zero)) <= 1e-15
+    assert abs(sm.p_b_factor_multiple - float(factor)) <= 1e-15
+    assert abs(sm.p_b_coprime - float(1 - zero - factor)) <= 1e-15
+    assert abs(sm.total_useful - float(zero + factor)) <= 1e-15
+
+
+def test_exact_run_allocates_no_n_by_n_grid():
+    n = 1763  # one N x N complex grid would take 16 * N**2 bytes, about 47 MiB
+    tracemalloc.start()
+    try:
+        run = run_exact(n)
+        assert run.pb_probs.shape == (n,)
+        superposition.purity(run)
+        exact_conditional(run, 1468)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_exact_conditional_rejections(run91):
+    with pytest.raises(ValueError, match="outside B register of size 91"):
+        exact_conditional(run91, 91)
+    with pytest.raises(ValueError, match="outside B register"):
+        exact_conditional(run91, -1)
+    with pytest.raises(ValueError, match="exact-dimension run"):
+        exact_conditional(run_qubit(21, 9), 0)
