@@ -414,7 +414,9 @@ def _annotate_bins(s: Semiprime, q_bits: int, periods: list[int]):
     notes: dict[int, str] = {}
     for period in (s.n, *periods):  # period peaks override modulus peaks
         for j in range(1, period):
-            notes[shor_gauss.peak_bin(j, period, q_bits)] = f"peak period={period} j={j}"
+            b = shor_gauss.peak_bin(j, period, q_bits)
+            if b % (1 << q_bits):  # a bin that wraps to 0 mod 2**Q is the DC bin
+                notes[b] = f"peak period={period} j={j}"
     return _label_notes(notes)
 
 
@@ -472,7 +474,7 @@ def cmd_shor_gauss(cfg: RunConfig) -> int:
     sections = [Section("branch_probs", header=("label", "probability", "annotation"), rows=rows)]
     if cfg.branch:
         label = _parse_branch(cfg.branch, s)
-        dist = shor_gauss.qft_distribution(s, q_bits, label, allow)
+        dist = _checked(shor_gauss.qft_distribution, s, q_bits, label, allow)
         periods = {s.n: [s.n], s.p: [s.p], s.q: [s.q], 1: [s.p, s.q]}[label]
         sections.append(
             _distribution_section(

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numtheory import Semiprime, count_upper, factor_semiprime, gcd_conv, nontrivial_divisor
-from .states import Distribution, abs_sq, check_amplitude_cap, qft_vector, sample_cdf
+from .states import Distribution, abs_sq, check_amplitude_cap, sample_cdf
 from .trials import DriverResult, TrialRecord, drive
 
 
@@ -138,11 +138,12 @@ def branch_probs(
 def post_state(
     s: Semiprime, q_bits: int, label: int, allow_small_register: bool = False
 ) -> np.ndarray:
-    """Normalized A vector after B was measured with the given label.
+    """Normalized real A vector after B was measured with the given label.
 
     label must be one of (1, p, q, N).  Support: multiples of N for label N;
     multiples of f except multiples of N for a factor label f; everything
-    coprime to N for label 1.
+    coprime to N for label 1.  An empty support (a register too small to
+    hold any of its points) raises ValueError.
     """
     _check_register(s, q_bits, allow_small_register)
     if label not in b_labels(s):
@@ -157,15 +158,26 @@ def post_state(
         comb[::label] = 1.0
         comb[:: s.n] = label == s.n  # a factor comb drops the multiples of N
     support = int(np.sum(comb))
-    return comb.astype(np.complex128) / math.sqrt(support)
+    if support == 0:
+        raise ValueError(f"no l < 2**{q_bits} has divisor signal {label}")
+    comb /= math.sqrt(support)
+    return comb
 
 
 def qft_distribution(
     s: Semiprime, q_bits: int, label: int, allow_small_register: bool = False
 ) -> Distribution:
-    """|QFT(post state)|^2 over the 2**Q output bins."""
-    vec = qft_vector(post_state(s, q_bits, label, allow_small_register))
-    return Distribution(abs_sq(vec))
+    """|QFT(post state)|^2 over the 2**Q output bins, from one real FFT.
+
+    The comb is real, so its +i-kernel spectrum at bin m is the conjugate of
+    rfft's at m and |QFT|^2 is mirror-symmetric, P(m) = P(2**Q - m): bins
+    0 .. 2**Q/2 are |rfft|^2 / 2**Q and bins 1 .. 2**Q/2 - 1 are mirrored
+    into the upper half.  The comb and its spectrum are temporaries, freed
+    as soon as they are used, so at most two register vectors are alive.
+    """
+    half = abs_sq(np.fft.rfft(post_state(s, q_bits, label, allow_small_register)))
+    half /= 1 << q_bits
+    return Distribution(np.concatenate((half, half[-2:0:-1])))
 
 
 def peak_bin(j: int, period: int, q_bits: int) -> int:
@@ -174,12 +186,16 @@ def peak_bin(j: int, period: int, q_bits: int) -> int:
 
 
 def peak_positions(period: int, q_bits: int) -> tuple[int, ...]:
-    """Bins nearest j * 2**Q / period for j = 1 .. period-1.
+    """Bins nearest j * 2**Q / period for j = 1 .. period-1, reduced mod 2**Q.
 
-    Exact half-integer offsets round half-up; duplicates collapse.  The
-    j = 0 bin is excluded (handled as the DC bin by callers).
+    Exact half-integer offsets round half-up; duplicates collapse.  Bin 0
+    is excluded (callers report it as the DC bin); it and bin 2**Q, which
+    wraps to it, only arise when 2**Q <= period / 2.
     """
-    return tuple(sorted({peak_bin(j, period, q_bits) for j in range(1, period)}))
+    size = 1 << q_bits
+    bins = {peak_bin(j, period, q_bits) % size for j in range(1, period)}
+    bins.discard(0)
+    return tuple(sorted(bins))
 
 
 def analyze_peaks(dist: Distribution, period: int, q_bits: int, modulus: int) -> PeakReport:
@@ -196,7 +212,8 @@ def analyze_peaks(dist: Distribution, period: int, q_bits: int, modulus: int) ->
     on = dist.probs[list(positions)]
     mass = float(np.sum(on))
     max_on = float(np.max(on)) if len(on) else 0.0
-    off_bins = [b for b in peak_positions(modulus, q_bits) if b not in set(positions)]
+    on_bins = set(positions)
+    off_bins = [b for b in peak_positions(modulus, q_bits) if b not in on_bins]
     max_off = float(np.max(dist.probs[off_bins])) if off_bins else 0.0
     return PeakReport(
         period=period,

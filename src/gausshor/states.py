@@ -187,22 +187,27 @@ def qft_b(state: BipartiteState) -> BipartiteState:
     return BipartiteState(state.dim_a, state.dim_b, amps)
 
 
-def marginal_b(state: BipartiteState) -> Distribution:
-    """Probability of each B label: column sums of |amplitude|^2.
+def abs_sq_column_sums(amps: np.ndarray) -> np.ndarray:
+    """Column sums of |amps|^2 for a 2-d grid, with no grid-sized temporary.
 
     The squared moduli are formed a block of rows at a time, in blocks of
-    about 2**17 entries, so no dim_a x dim_b temporary is made.  The column
-    totals so far are added into each block's first row before the block is
-    summed down its rows, so every column is summed row by row in order,
-    with the bits of one np.sum over the full |amplitude|^2 grid.
+    about 2**17 entries.  The column totals so far are added into each
+    block's first row before the block is summed down its rows, so every
+    column is summed row by row in order, with the bits of
+    np.sum(abs_sq(amps), axis=0).
     """
     total = None
-    for rows in row_blocks(state.dim_a, state.dim_b, _GRAM_BLOCK_ENTRIES):
-        block = abs_sq(state.amps[rows[0] : rows[-1] + 1])
+    for rows in row_blocks(amps.shape[0], amps.shape[1], _GRAM_BLOCK_ENTRIES):
+        block = abs_sq(amps[rows[0] : rows[-1] + 1])
         if total is not None:
             block[0] += total
         total = np.sum(block, axis=0)
-    return Distribution(total)
+    return total
+
+
+def marginal_b(state: BipartiteState) -> Distribution:
+    """Probability of each B label: column sums of |amplitude|^2, in row blocks."""
+    return Distribution(abs_sq_column_sums(state.amps))
 
 
 def conditional_a(state: BipartiteState, n0: int) -> Distribution:

@@ -32,6 +32,7 @@ from .states import (
     StateIntegrityError,
     ZeroMarginalError,
     abs_sq,
+    abs_sq_column_sums,
     check_amplitude_cap,
     check_unit_norm,
     phase_roots,
@@ -71,7 +72,7 @@ class SuperpositionRun:
         if self.grids is None:
             return qubit_marginal(self.n, self.q_bits)
         k = np.arange(self.n)
-        pb_p, pb_q = (np.sum(abs_sq(g), axis=0) for g in self.grids)
+        pb_p, pb_q = (abs_sq_column_sums(g) for g in self.grids)
         return pb_p[k % self.s.p] * pb_q[k % self.s.q]
 
 

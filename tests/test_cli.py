@@ -176,6 +176,21 @@ def test_shor_gauss_fig4_peaks(capsys):
     assert any("exact=23/2048" in r["annotation"] for r in bp)
 
 
+def test_shor_gauss_tiny_register_branches(capsys):
+    """An empty branch exits 2 with one line; bins past 2**Q wrap to the DC bin."""
+    args = ("shor-gauss", "--n", "15", "--q", "1", "--allow-small-register", "--branch")
+    rc, out, err = run_main(*args, "factor3", capsys=capsys)
+    assert (rc, out, err) == (2, "", "error: no l < 2**1 has divisor signal 3\n")
+    rc, out, err = run_main(*args, "unit", capsys=capsys)
+    assert rc == 0 and err == ""
+    secs = parse_csv_sections(out)
+    for period in (3, 5):
+        rep = {r["field"]: r["value"] for r in secs[f"peak_report period={period}"]}
+        assert (rep["positions"], rep["mass"], rep["dc_mass"]) == ("1", "0.5", "0.5")
+    notes = [r["annotation"] for r in secs["distribution branch=1"]]
+    assert notes == ["", "peak period=5 j=3"]
+
+
 def test_shor_gauss_driver_summary(tmp_path, capsys):
     out_file = tmp_path / "run.csv"
     rc, out, _ = run_main(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,7 @@ def test_branch_probs_match_direct_counts():
 def test_post_state_supports():
     size = 1 << 14
     vec_n = post_state(S91, 14, 91)
+    assert vec_n.dtype == np.float64  # real: the spectrum is one rfft
     support = np.nonzero(np.abs(vec_n) > 0)[0]
     assert list(support) == list(range(0, size, 91))
     assert np.allclose(np.abs(vec_n[support]), count_upper(size, 91) ** -0.5)
@@ -122,6 +124,58 @@ def test_qft_of_factor_post_state_matches_comb_sums():
             * (eval_F_closed(7 * m / size, m_p) - eval_F_closed(91 * m / size, m_n))
         )
         assert vec[m] == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, q_bits", [(15, 3), (35, 11), (91, 14), (437, 18), (899, 20)])
+def test_qft_distribution_matches_complex_ifft_and_mirrors(n, q_bits):
+    # the real-FFT spectrum agrees with the +i-kernel complex transform of the
+    # normalized comb, and P(m) = P(2**Q - m) holds bit for bit
+    s = factor_semiprime(n)
+    size = 1 << q_bits
+    signal = np.gcd(np.arange(size), n)  # gcd(0, N) = N
+    for label in b_labels(s):
+        comb = (signal == label).astype(np.complex128)
+        vec = np.fft.ifft(comb / math.sqrt(np.sum(comb.real))) * math.sqrt(size)
+        probs = qft_distribution(s, q_bits, label, allow_small_register=True).probs
+        assert np.max(np.abs(probs - (vec.real**2 + vec.imag**2))) <= 1e-15, label
+        assert probs[1:].tobytes() == probs[1:][::-1].tobytes(), label
+
+
+def test_unit_spectrum_peak_allocation_below_two_and_a_half_register_vectors():
+    """A real comb and one half-length complex spectrum: no complex copy of the register."""
+    q_bits = 16
+    _unit_cdf.cache_clear()
+    tracemalloc.start()
+    try:
+        qft_distribution(S91, q_bits, 1)
+        spectrum_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _unit_cdf(S91, q_bits)
+        table_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _unit_cdf.cache_clear()
+    limit = 2.5 * 8 * (1 << q_bits)
+    assert spectrum_peak < limit and table_peak < limit
+
+
+def test_post_state_rejects_an_empty_support():
+    # 2**1 holds only l = 0 and 1: no proper multiple of 3
+    with pytest.raises(ValueError, match=r"no l < 2\*\*1 has divisor signal 3"):
+        post_state(S15, 1, 3, allow_small_register=True)
+
+
+def test_peak_positions_wrap_mod_register_and_skip_dc():
+    # at 2**Q <= period / 2 the nearest bins reach 2**Q (= bin 0) and bin 0
+    # itself; both are the DC bin, which analyze_peaks reports apart
+    assert peak_bin(1, 5, 1) == 0 and peak_bin(4, 5, 1) == 2
+    assert peak_positions(5, 1) == (1,) and peak_positions(15, 1) == (1,)
+    dist = qft_distribution(S15, 1, 1, allow_small_register=True)
+    assert dist.probs.tolist() == [0.5, 0.5]
+    for period in (3, 5):
+        rep = analyze_peaks(dist, period, 1, modulus=15)
+        assert rep.positions == (1,) and rep.mass == rep.dc_mass == 0.5
+        assert rep.max_off_structure == 0.0
 
 
 def test_peak_positions_rounding():

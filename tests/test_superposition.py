@@ -10,6 +10,7 @@ from gausshor.numtheory import NotSemiprimeError, factor_semiprime
 from gausshor.states import (
     BipartiteState,
     StateIntegrityError,
+    abs_sq,
     apply_quadratic_phase,
     conditional_a,
     marginal_b,
@@ -703,6 +704,26 @@ def test_exact_run_allocates_no_n_by_n_grid():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("n", [91, 1147, 3063])
+def test_pb_probs_keep_the_full_grid_column_sum_bits(n):
+    # 3063 = 3 * 1021: the q grid spans 8 row blocks
+    run = run_exact(n)
+    k = np.arange(n)
+    pb_p, pb_q = (np.sum(abs_sq(g), axis=0) for g in run.grids)
+    assert run.pb_probs.tobytes() == (pb_p[k % run.s.p] * pb_q[k % run.s.q]).tobytes()
+
+
+def test_pb_probs_peak_allocation_below_a_quarter_of_the_q_grid():
+    run = run_exact(3063)  # the 1021 x 1021 q grid holds about 16 MiB
+    tracemalloc.start()
+    try:
+        assert run.pb_probs.shape == (3063,)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < run.grids[1].nbytes / 4
 
 
 def test_exact_conditional_rejections(run91):
