@@ -364,28 +364,21 @@ def _distribution_section(
 
 def cmd_gauss_table(cfg: RunConfig) -> int:
     n = _reduce_even(_require_n(cfg))
+    terms = cfg.terms if cfg.terms is not None else 5
+    kinds = {
+        "standard": lambda ell: abs(eval_G(ell, n)) ** 2,
+        "w": lambda ell: abs(eval_W(cfg.n0 or 0, ell, n)) ** 2,
+        "truncated": lambda ell: abs(eval_truncated(ell, n, terms)),
+        "g": lambda ell: float(g_of(ell, n)),
+    }
     kind = cfg.kind or "g"
-    if kind not in ("standard", "w", "truncated", "g"):
-        raise InputError(f"--kind must be one of standard|w|truncated|g, got {kind!r}")
-    if kind == "truncated":
-        ells = range(1, n + 1) if cfg.ell is None else [cfg.ell]
-        terms = cfg.terms if cfg.terms is not None else 5
-    elif kind == "w":
-        ells = range(0, n) if cfg.ell is None else [cfg.ell]
-    else:
-        ells = range(1, n + 1) if cfg.ell is None else [cfg.ell]
-    values = []
+    if kind not in kinds:
+        raise InputError(f"--kind must be one of {'|'.join(kinds)}, got {kind!r}")
+    value_of = kinds[kind]
+    start = 0 if kind == "w" else 1
+    ells = range(start, n + start) if cfg.ell is None else [cfg.ell]
     try:
-        for ell in ells:
-            if kind == "g":
-                value = float(g_of(ell, n))
-            elif kind == "standard":
-                value = abs(eval_G(ell, n)) ** 2
-            elif kind == "w":
-                value = abs(eval_W(cfg.n0 or 0, ell, n)) ** 2
-            else:
-                value = abs(eval_truncated(ell, n, terms))
-            values.append(value)
+        values = [value_of(ell) for ell in ells]
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     rows = list(zip(ells, values, _divisor_notes(n)(ells)))

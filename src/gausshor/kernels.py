@@ -12,10 +12,10 @@ Five families of sums are computed here:
   truncated quadratic sum A(l; N, M)     = (1/(M+1)) sum_{m=0..M} exp[2*pi*i * m^2 * N / l]
 
 Direct sums reduce every phase index with exact integer arithmetic before
-exponentiation and accumulate with Kahan compensation, so analytic zeros
-come out at the 1e-13 level and are cleanly separated from genuinely small
-values like 1/N.  Closed forms are returned as exact rationals wherever
-the inputs admit them.
+exponentiation and add the terms with one exactly rounded sum (math.fsum),
+so analytic zeros come out at the 1e-13 level and are cleanly separated
+from genuinely small values like 1/N.  Closed forms are exact rationals
+wherever the inputs admit them.
 """
 
 from __future__ import annotations
@@ -30,29 +30,16 @@ from .numtheory import Semiprime, gcd_conv
 TWO_PI = 2.0 * math.pi
 
 
-class _KahanSum:
-    """Compensated accumulator for complex terms."""
+def _fsum(terms: list[complex]) -> complex:
+    """Exactly rounded sum of complex terms: math.fsum of each component."""
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
 
-    __slots__ = ("re", "im", "_cre", "_cim")
 
-    def __init__(self):
-        self.re = 0.0
-        self.im = 0.0
-        self._cre = 0.0
-        self._cim = 0.0
-
-    def add(self, z: complex) -> None:
-        y = z.real - self._cre
-        t = self.re + y
-        self._cre = (t - self.re) - y
-        self.re = t
-        y = z.imag - self._cim
-        t = self.im + y
-        self._cim = (t - self.im) - y
-        self.im = t
-
-    def value(self) -> complex:
-        return complex(self.re, self.im)
+def _check_odd_modulus(n: int, ell: int) -> None:
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"modulus must be odd and >= 3, got {n}")
+    if ell < 0:
+        raise ValueError(f"trial factor must be >= 0, got {ell}")
 
 
 @lru_cache(maxsize=512)
@@ -72,10 +59,7 @@ def eval_G(ell: int, n: int) -> complex:
     if ell < 0:
         raise ValueError(f"trial factor must be >= 0, got {ell}")
     roots = _unit_roots(n)
-    acc = _KahanSum()
-    for m in range(n):
-        acc.add(roots[(m * m * ell) % n])
-    return acc.value()
+    return _fsum([roots[(m * m * ell) % n] for m in range(n)])
 
 
 def g_of(ell: int, n: int) -> int:
@@ -84,8 +68,7 @@ def g_of(ell: int, n: int) -> int:
     Only defined here for odd n >= 3: the identity with the gcd is an
     odd-modulus result, and even moduli are deliberately rejected.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"modulus must be odd and >= 3, got {n}")
+    _check_odd_modulus(n, ell)
     return gcd_conv(ell % n, n)
 
 
@@ -95,13 +78,9 @@ def eval_W(n_shift: int, ell: int, n: int) -> complex:
     Returns (1/n) * sum_m exp[2*pi*i*(m^2*ell + m*n_shift)/n] by direct
     summation over m = 0 .. n-1.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"modulus must be odd and >= 3, got {n}")
+    _check_odd_modulus(n, ell)
     roots = _unit_roots(n)
-    acc = _KahanSum()
-    for m in range(n):
-        acc.add(roots[(m * m * ell + m * n_shift) % n])
-    return acc.value() / n
+    return _fsum([roots[(m * m * ell + m * n_shift) % n] for m in range(n)]) / n
 
 
 def closed_W_sq(n_shift: int, ell: int, s: Semiprime) -> Fraction:
@@ -140,28 +119,22 @@ def eval_W_tilde(n_shift: int, ell: int, n: int, m_terms: int) -> complex:
     exactly by direct summation; phase indices are reduced modulo
     lcm(n, M) in integer arithmetic.  With M = n this reduces to eval_W.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"modulus must be odd and >= 3, got {n}")
+    _check_odd_modulus(n, ell)
     if m_terms < 1:
         raise ValueError(f"term count must be >= 1, got {m_terms}")
     lcm = math.lcm(n, m_terms)
-    qmul = lcm // n
-    lmul = lcm // m_terms
-    acc = _KahanSum()
-    for m in range(m_terms):
-        r = (m * m * ell * qmul + m * n_shift * lmul) % lcm
-        acc.add(cmath.exp((TWO_PI * r / lcm) * 1j))
-    return acc.value() / m_terms
+    qmul, lmul = lcm // n, lcm // m_terms
+    return _fsum([
+        cmath.exp((TWO_PI * ((m * m * ell * qmul + m * n_shift * lmul) % lcm) / lcm) * 1j)
+        for m in range(m_terms)
+    ]) / m_terms
 
 
 def eval_F(alpha: float, m_terms: int) -> complex:
     """Geometric comb sum sum_{k=0}^{M-1} exp[2*pi*i*k*alpha] by direct summation."""
     if m_terms < 1:
         raise ValueError(f"term count must be >= 1, got {m_terms}")
-    acc = _KahanSum()
-    for k in range(m_terms):
-        acc.add(cmath.exp((TWO_PI * ((k * alpha) % 1.0)) * 1j))
-    return acc.value()
+    return _fsum([cmath.exp((TWO_PI * ((k * alpha) % 1.0)) * 1j) for k in range(m_terms)])
 
 
 def eval_F_closed(alpha: float, m_terms: int) -> complex:
@@ -189,8 +162,5 @@ def eval_truncated(ell: int, n: int, m_terms: int) -> complex:
         raise ValueError(f"trial factor must be >= 1, got {ell}")
     if n < 1 or m_terms < 0:
         raise ValueError("need n >= 1 and m_terms >= 0")
-    acc = _KahanSum()
-    for m in range(m_terms + 1):
-        r = (m * m * n) % ell
-        acc.add(cmath.exp((TWO_PI * r / ell) * 1j))
-    return acc.value() / (m_terms + 1)
+    terms = [cmath.exp((TWO_PI * ((m * m * n) % ell) / ell) * 1j) for m in range(m_terms + 1)]
+    return _fsum(terms) / (m_terms + 1)

@@ -155,6 +155,14 @@ def test_gauss_table_truncated_ell_zero_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("kind", ["standard", "w", "g"])
+def test_gauss_table_negative_ell_exits_2(kind, capsys):
+    rc, out, err = run_main(
+        "gauss-table", "--n", "35", "--kind", kind, "--ell", "-2", capsys=capsys
+    )
+    assert (rc, out, err) == (2, "", "error: trial factor must be >= 0, got -2\n")
+
+
 def test_shor_gauss_requires_register_condition(capsys):
     rc, _, err = run_main("shor-gauss", "--n", "91", "--q", "11", capsys=capsys)
     assert rc == 2

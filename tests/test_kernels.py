@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gausshor.kernels import (
+    _fsum,
     closed_W_sq,
     eval_F,
     eval_F_closed,
@@ -20,6 +21,43 @@ from gausshor.numtheory import factor_semiprime, gcd_conv
 import oracles
 
 S91 = factor_semiprime(91)
+
+
+def test_fsum_is_exactly_rounded():
+    # Kahan compensation returns 0 here: its correction term is lost to 1e100
+    assert _fsum([1e100, 1.0, -1e100]) == 1.0
+    assert _fsum([1e100j, 1j, -1e100j]) == 1j
+    assert _fsum([]) == 0
+
+
+@pytest.mark.parametrize("n", [1147, 1763])
+def test_eval_G_squared_modulus_matches_gcd_at_table_size(n):
+    # every row of `gauss-table --kind standard` at the benchmark's table sizes
+    for ell in range(1, n + 1):
+        exact = n * math.gcd(ell, n)
+        assert abs(abs(eval_G(ell, n)) ** 2 - exact) <= 2e-15 * exact, ell
+
+
+def test_eval_W_squared_modulus_matches_closed_form_at_table_size():
+    # the shift 0, a multiple of the factor 31 and a shift coprime to N;
+    # closed values are 0, 1/N, f/N or 1, and the term roundings allow
+    # a few ulp of the f/N and 1 rows
+    s = factor_semiprime(1147)
+    for n_shift in (0, 31 * 5, 100):
+        for ell in range(s.n):
+            exact = float(closed_W_sq(n_shift, ell, s))
+            err = abs(abs(eval_W(n_shift, ell, s.n)) ** 2 - exact)
+            assert err <= 1e-17 + 2e-15 * exact, (n_shift, ell)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: eval_G(-1, 35), lambda: g_of(-1, 35), lambda: eval_W(0, -2, 35),
+     lambda: eval_W_tilde(0, -1, 35, 64)],
+)
+def test_kernels_reject_negative_trial_factor(call):
+    with pytest.raises(ValueError, match=r"trial factor must be >= 0, got -\d"):
+        call()
 
 
 def test_eval_G_examples():
