@@ -27,7 +27,7 @@ import numpy as np
 
 from .numtheory import Semiprime, count_upper, factor_semiprime, gcd_conv, nontrivial_divisor
 from .states import Distribution, abs_sq, check_amplitude_cap, sample_cdf
-from .trials import DriverResult, TrialRecord, drive
+from .trials import DriverResult, TrialRecord, TrialStream, drive
 
 
 class BranchKind(Enum):
@@ -313,7 +313,7 @@ def _unit_cdf(s: Semiprime, q_bits: int) -> np.ndarray:
 def run_trial(
     s: Semiprime,
     q_bits: int,
-    rng: np.random.Generator,
+    rng: TrialStream,
     trial_index: int = 0,
     allow_small_register: bool = False,
 ) -> TrialRecord:

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numtheory import Semiprime
+from .trials import TrialStream
 
 NORM_TOL = 1e-9
 DEFAULT_AMPLITUDE_CAP = 1 << 24
@@ -221,13 +222,13 @@ def conditional_a(state: BipartiteState, n0: int) -> Distribution:
     return Distribution(weights / mass)
 
 
-def sample_cdf(cdf: np.ndarray, rng: np.random.Generator) -> int:
+def sample_cdf(cdf: np.ndarray, rng: TrialStream) -> int:
     """Inverse-CDF draw from a cumulative mass vector; zero-mass bins are unreachable."""
     u = rng.random() * cdf[-1]
     return int(np.searchsorted(cdf, u, side="right"))
 
 
-def sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
+def sample_outcome(probs: np.ndarray, rng: TrialStream) -> int:
     """Inverse-CDF draw from a probability vector, via sample_cdf."""
     return sample_cdf(np.cumsum(probs), rng)
 

@@ -41,7 +41,7 @@ from .states import (
     sample_cdf,
     sample_outcome,
 )
-from .trials import DriverResult, TrialRecord, drive
+from .trials import DriverResult, TrialRecord, TrialStream, drive
 
 MAX_QUBIT_BITS = 20
 _BLOCK_ENTRIES = 1 << 20  # residue rows per block are sized against this
@@ -369,7 +369,7 @@ def sample_factor_driver(run: SuperpositionRun, max_trials: int, seed: int) -> D
     n = run.n
     pb_cdf = np.cumsum(run.pb_probs)
 
-    def trial(t: int, rng: np.random.Generator) -> TrialRecord:
+    def trial(t: int, rng: TrialStream) -> TrialRecord:
         n0 = sample_cdf(pb_cdf, rng)
         # exact mode: size N, so j = n0
         factor = nontrivial_divisor(peak_index(n0, n, len(pb_cdf)), n)

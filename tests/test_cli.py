@@ -111,6 +111,33 @@ def test_superposition_runs_leave_numpy_ma_unimported():
         assert cp.stdout == "0 False\n", (args, cp.stderr)
 
 
+def test_sampling_runs_leave_numpy_random_unimported():
+    # the trial streams are pure Python, so no sampling run pays numpy.random's import
+    probe = "import sys, numpy; print('numpy.random' in sys.modules)"
+    cp = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    if cp.stdout.strip() == "True":
+        pytest.skip("import numpy alone loads numpy.random")
+    code = (
+        "import contextlib, io, sys\n"
+        "from gausshor.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(sys.argv[1:])\n"
+        "print(rc, 'numpy.random' in sys.modules)\n"
+    )
+    for args in (
+        ["shor-gauss", "--n", "35", "--q", "11", "--trials", "25", "--seed", "1"],
+        ["superposition", "--mode", "exact", "--n", "91", "--report", "pb",
+         "--trials", "100", "--seed", "1"],
+    ):
+        cp = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert cp.stdout == "0 False\n", (args, cp.stderr)
+
+
 def test_gauss_table_g_rows_and_annotations(capsys):
     rc, out, _ = run_main("gauss-table", "--n", "35", "--kind", "g", capsys=capsys)
     assert rc == 0

@@ -420,6 +420,40 @@ def test_cached_tables_change_no_record(n, q_bits):
         assert cold == warm == _uncached_driver(n, q_bits, 30, seed), seed
 
 
+# recorded on the numpy-Philox trial streams; TrialRecord fields in order:
+# index, B label, A bin, candidate denominator, factor
+T = TrialRecord
+BRANCH_DRIVER_RECORDS = [
+    DriverResult(35, True, 5, 2, 25, 0, (T(0, 35), T(1, 1, 412, 5, 5))),
+    DriverResult(35, True, 7, 1, 25, 1, (T(0, 7, factor=7),)),
+    DriverResult(35, True, 7, 2, 25, 2, (T(0, 1, 0), T(1, 1, 1169, 7, 7))),
+    DriverResult(35, True, 7, 2, 25, 3, (T(0, 1, 0), T(1, 1, 1170, 7, 7))),
+    DriverResult(
+        35, True, 7, 5, 25, 4, (T(0, 35), T(1, 1, 0), T(2, 1, 0), T(3, 1, 0), T(4, 7, factor=7))
+    ),
+    DriverResult(35, True, 5, 3, 25, 5, (T(0, 1, 0), T(1, 1, 0), T(2, 1, 409, 5, 5))),
+    DriverResult(35, True, 7, 3, 25, 2**63 + 5, (T(0, 1, 0), T(1, 1, 0), T(2, 7, factor=7))),
+    DriverResult(899, True, 29, 1, 8, 0, (T(0, 29, factor=29),)),
+    DriverResult(899, True, 31, 2, 8, 1, (T(0, 1, 0), T(1, 1, 777976, 31, 31))),
+    DriverResult(
+        899, True, 29, 4, 8, 2, (T(0, 1, 0), T(1, 1, 0), T(2, 1, 0), T(3, 1, 903945, 29, 29))
+    ),
+    DriverResult(899, False, None, 8, 8, 3, tuple(T(t, 1, 0) for t in range(8))),
+    DriverResult(
+        899, True, 31, 6, 8, 4,
+        (T(0, 899), T(1, 1, 0), T(2, 1, 0), T(3, 1, 0), T(4, 1, 0), T(5, 31, factor=31)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "pinned", BRANCH_DRIVER_RECORDS, ids=lambda r: f"{r.n}-seed{r.seed}"
+)
+def test_factor_driver_records_pinned(pinned):
+    q_bits = {35: 11, 899: 20}[pinned.n]
+    assert factor_driver(pinned.n, q_bits, pinned.max_trials, pinned.seed) == pinned
+
+
 def test_cached_tables_are_read_only():
     factor_driver(91, 14, 30, 0)
     branches, cdf = _branch_table(S91, 14)

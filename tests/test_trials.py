@@ -23,19 +23,37 @@ def test_seed_is_taken_mod_2_64():
     assert trial_rng(-1, 0).random() == trial_rng(2**64 - 1, 0).random()
 
 
+def _draws(stream, k: int) -> list[float]:
+    return [stream.random() for _ in range(k)]
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1))
 def test_stream_matches_list_keyed_philox_below_2_63(seed, trial):
     # the streams documented before keys became uint64 arrays stay put
     reference = np.random.Generator(np.random.Philox(key=[seed, trial]))
-    assert np.array_equal(trial_rng(seed, trial).random(4), reference.random(4))
+    assert _draws(trial_rng(seed, trial), 4) == reference.random(4).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(2**70), 2**70), st.integers(0, 2**64 - 1))
+def test_stream_matches_numpy_philox_bit_for_bit(seed, trial):
+    # nine draws read three Philox blocks of four words, so two block boundaries
+    key = np.array([seed % 2**64, trial % 2**64], dtype=np.uint64)
+    reference = np.random.Generator(np.random.Philox(key=key)).random(9)
+    assert _draws(trial_rng(seed, trial), 9) == reference.tolist()
+
+
+def test_negative_trial_index_is_rejected():
+    with pytest.raises(ValueError, match="trial index must be >= 0, got -1"):
+        trial_rng(0, -1)
 
 
 def _factor_at(hit: int | None, calls: list):
     """A trial that records its index and its first draw, and finds a factor at index hit."""
     def trial(t, rng):
         calls.append(t)
-        return TrialRecord(t, int(rng.integers(2**62)), factor=7 if t == hit else None)
+        return TrialRecord(t, int(rng.random() * 2**62), factor=7 if t == hit else None)
 
     return trial
 
@@ -67,7 +85,7 @@ def test_drive_with_no_budget_runs_no_trial():
 def test_drive_hands_trial_t_its_own_stream():
     seed = 2**63 + 11
     res = drive(35, 5, seed, _factor_at(None, []))
-    expected = [int(trial_rng(seed, t).integers(2**62)) for t in range(5)]
+    expected = [int(trial_rng(seed, t).random() * 2**62) for t in range(5)]
     assert [r.outcome_b for r in res.records] == expected
 
 
