@@ -116,7 +116,7 @@ def _to_bool(key: str, raw: str) -> bool:
 
 
 def _from_text(key: str, raw: str):
-    """A config-file value as the type of RunConfig's field key (its annotation text)."""
+    """A flag or config-file value as the type of RunConfig's field key (its annotation text)."""
     kind = RunConfig.__dataclass_fields__[key].type
     if kind == "bool":
         return _to_bool(key, raw)
@@ -137,10 +137,10 @@ def merge_config(ns: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=ns.command)
     for key in keys:
         value = getattr(ns, key, None)
-        if value is None and key in file_vals:
-            value = _from_text(key, file_vals[key])
+        if value is None:
+            value = file_vals.get(key)
         if value is not None:
-            setattr(cfg, key, value)
+            setattr(cfg, key, _from_text(key, value))
     if cfg.format not in ("csv", "json"):
         raise InputError(f"--format must be csv or json, got {cfg.format!r}")
     return cfg
@@ -363,7 +363,6 @@ def _distribution_section(
 
 
 def cmd_gauss_table(cfg: RunConfig) -> int:
-    n = _reduce_even(_require_n(cfg))
     terms = cfg.terms if cfg.terms is not None else 5
     kinds = {
         "standard": lambda ell: abs(eval_G(ell, n)) ** 2,
@@ -374,6 +373,7 @@ def cmd_gauss_table(cfg: RunConfig) -> int:
     kind = cfg.kind or "g"
     if kind not in kinds:
         raise InputError(f"--kind must be one of {'|'.join(kinds)}, got {kind!r}")
+    n = _reduce_even(_require_n(cfg))
     value_of = kinds[kind]
     start = 0 if kind == "w" else 1
     ells = range(start, n + start) if cfg.ell is None else [cfg.ell]
@@ -508,13 +508,13 @@ def _purity_report(run, *lead_rows) -> tuple[Section, str]:
 
 def cmd_superposition(cfg: RunConfig) -> int:
     _check_trials(cfg)
-    n = _reduce_even(_require_n(cfg))
     mode = cfg.mode or "exact"
     if mode not in ("exact", "qubit"):
         raise InputError(f"--mode must be exact or qubit, got {mode!r}")
     report = cfg.report
     if report not in ("all", "pb", "conditional", "purity", "success"):
         raise InputError(f"unknown --report {report!r}")
+    n = _reduce_even(_require_n(cfg))
     if mode == "qubit" and report in ("purity", "success"):
         raise InputError(f"--report {report} needs --mode exact")
     if report == "conditional" and cfg.n0 is None:
@@ -625,38 +625,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--n", help="number under test (sweep: comma-separated list)")
-        p.add_argument("--seed", type=int, help="64-bit seed for all sampling")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        p.add_argument("--seed", help="64-bit seed for all sampling")
+        p.add_argument("--format", metavar="{csv,json}", help="output format")
         p.add_argument("--output", help="write to this path instead of stdout")
         p.add_argument("--config", help="key=value config file; flags override it")
 
     p = sub.add_parser("gauss-table", help="emit one sum family as a table")
     add_common(p)
-    p.add_argument("--kind", choices=("standard", "w", "truncated", "g"))
-    p.add_argument("--n0", type=int, help="linear-phase shift for --kind w")
-    p.add_argument("--terms", type=int, help="term count for --kind truncated")
-    p.add_argument("--ell", type=int, help="restrict the table to one trial factor")
+    p.add_argument("--kind", metavar="{standard,w,truncated,g}")
+    p.add_argument("--n0", help="linear-phase shift for --kind w")
+    p.add_argument("--terms", help="term count for --kind truncated")
+    p.add_argument("--ell", help="restrict the table to one trial factor")
 
     p = sub.add_parser("shor-gauss", help="divisor-signal branch algorithm")
     add_common(p)
-    p.add_argument("--q", type=int, help="register size in bits")
+    p.add_argument("--q", help="register size in bits")
     p.add_argument("--branch", help="n | unit | factor<f>: emit that branch's spectrum")
-    p.add_argument("--trials", type=int, help="run the factoring driver this many trials")
+    p.add_argument("--trials", help="run the factoring driver this many trials")
     p.add_argument(
-        "--allow-small-register",
-        dest="allow_small_register",
-        action="store_const",
-        const=True,
+        "--allow-small-register", action="store_const", const="true",
         help="permit 2**Q <= N**2 (figure-scale demos)",
     )
 
     p = sub.add_parser("superposition", help="amplitude-encoded Gauss-sum algorithm")
     add_common(p)
-    p.add_argument("--mode", choices=("exact", "qubit"))
-    p.add_argument("--q", type=int, help="register size in bits (qubit mode)")
-    p.add_argument("--n0", type=int, help="emit the conditional for this B outcome")
-    p.add_argument("--report", choices=("all", "pb", "conditional", "purity", "success"))
-    p.add_argument("--trials", type=int, help="run the factoring driver this many trials")
+    p.add_argument("--mode", metavar="{exact,qubit}")
+    p.add_argument("--q", help="register size in bits (qubit mode)")
+    p.add_argument("--n0", help="emit the conditional for this B outcome")
+    p.add_argument("--report", metavar="{all,pb,conditional,purity,success}")
+    p.add_argument("--trials", help="run the factoring driver this many trials")
 
     p = sub.add_parser("purity", help="measured and closed-form purity for one n")
     add_common(p)

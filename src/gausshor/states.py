@@ -211,15 +211,19 @@ def marginal_b(state: BipartiteState) -> Distribution:
     return Distribution(abs_sq_column_sums(state.amps))
 
 
-def conditional_a(state: BipartiteState, n0: int) -> Distribution:
-    """Distribution of the A register given a B measurement with outcome n0."""
-    if not (0 <= n0 < state.dim_b):
-        raise ValueError(f"outcome {n0} outside B register of size {state.dim_b}")
-    weights = abs_sq(state.amps[:, n0])
+def conditional(weights: np.ndarray, n0: int) -> Distribution:
+    """A distribution given B outcome n0, from its |amplitude(l, n0)|^2 column weights."""
     mass = float(np.sum(weights))
     if mass <= 1e-12:
         raise ZeroMarginalError(f"outcome {n0} has marginal probability {mass!r}")
     return Distribution(weights / mass)
+
+
+def conditional_a(state: BipartiteState, n0: int) -> Distribution:
+    """Distribution of the A register given a B measurement with outcome n0."""
+    if not (0 <= n0 < state.dim_b):
+        raise ValueError(f"outcome {n0} outside B register of size {state.dim_b}")
+    return conditional(abs_sq(state.amps[:, n0]), n0)
 
 
 def sample_cdf(cdf: np.ndarray, rng: TrialStream) -> int:

@@ -13,7 +13,7 @@ no N x N grid is formed.  The qubit variant works on two registers of size
 2**Q > N**2; its amplitudes depend on l only through l mod N and on m
 only through m^2 mod N, so its marginal folds N residue rows
 (qubit_marginal) and its conditional column is one length-N inverse FFT
-of residue-class sums (_qubit_conditional_probs), with no N x 2**Q work.
+of residue-class sums (_column, for both kinds), with no N x 2**Q work.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from .numtheory import Semiprime, factor_semiprime, gcd_conv, nontrivial_divisor
 from .states import (
     Distribution,
     StateIntegrityError,
-    ZeroMarginalError,
     abs_sq,
     abs_sq_column_sums,
     check_amplitude_cap,
     check_unit_norm,
+    conditional,
     phase_roots,
     quadratic_phase_grid,
     row_blocks,
@@ -175,13 +175,10 @@ def _amplitudes(run: SuperpositionRun, ell, n0: int):
 
 def exact_conditional(run: SuperpositionRun, n0: int) -> Distribution:
     """A-register distribution of an exact run given the B outcome n0, from one O(N) column."""
+    _check_exact(run)
     if not (0 <= n0 < run.n):
         raise ValueError(f"outcome {n0} outside B register of size {run.n}")
-    weights = abs_sq(_amplitudes(run, np.arange(run.n), n0))
-    mass = float(np.sum(weights))
-    if mass <= 1e-12:
-        raise ZeroMarginalError(f"outcome {n0} has marginal probability {mass!r}")
-    return Distribution(weights / mass)
+    return conditional(_column(run, n0), n0)
 
 
 def factor_mass_a(run: SuperpositionRun, n0: int) -> float:
@@ -258,15 +255,17 @@ def qubit_marginal(n: int, q_bits: int) -> np.ndarray:
     return acc / size
 
 
-def _qubit_conditional_probs(run: SuperpositionRun, n0: int) -> np.ndarray:
-    """Unnormalized |amplitude(l, n0)|^2 column of a qubit run.
+def _column(run: SuperpositionRun, n0: int) -> np.ndarray:
+    """Unnormalized |amplitude(l, n0)|^2 column of an exact (from the grids) or qubit run.
 
-    The amplitude (1/M) sum_m exp[2*pi*i*(m^2 r / N + m n0 / M)] of residue
-    r = l mod N depends on m^2 only mod N, so it is (N/M) times the inverse
-    FFT of the residue-class sums z_s = sum_{m^2 = s mod N} exp(2*pi*i*m*n0/M):
+    The qubit amplitude (1/M) sum_m exp[2*pi*i*(m^2 r / N + m n0 / M)] of
+    residue r = l mod N depends on m^2 only mod N, so it is (N/M) times the
+    inverse FFT of the residue-class sums z_s = sum_{m^2 = s mod N} exp(2*pi*i*m*n0/M):
     O(M + N log N), then repeated across the register.
     """
     n = run.s.n
+    if run.grids is not None:
+        return abs_sq(_amplitudes(run, np.arange(n), n0))
     size = 1 << run.q_bits
     m = np.arange(size, dtype=np.int64)
     # m * n0 < 2**40 is reduced exactly, so the phases lose no bits to a large argument
@@ -297,15 +296,12 @@ def conditional_after_peak(run: SuperpositionRun, n_peak: int) -> Distribution:
         raise ValueError(f"outcome {n_peak} outside B register of size {size}")
     n = run.s.n
     j = peak_index(n_peak, n, size)
-    if abs(n_peak - j * size / n) > 0.5 + 1e-12:
+    # |n_peak - j * size / n| > 1/2 in integers; for odd N it is never exactly 1/2
+    if 2 * abs(n_peak * n - j * size) > n:
         raise ValueError(
             f"outcome {n_peak} is not within half a bin of any multiple of 2**Q/N"
         )
-    weights = _qubit_conditional_probs(run, n_peak)
-    total = float(np.sum(weights))
-    if total <= 1e-12:
-        raise ValueError(f"outcome {n_peak} has (near-)zero marginal probability")
-    return Distribution(weights / total)
+    return conditional(_column(run, n_peak), n_peak)
 
 
 def p_b_closed_reference(s: Semiprime, n0: int) -> Fraction:
@@ -360,11 +356,12 @@ def useful_mass_closed_reference(s: Semiprime) -> Fraction:
 def sample_factor_driver(run: SuperpositionRun, max_trials: int, seed: int) -> DriverResult:
     """Measure-B-then-maybe-A trials on a prepared run, until one finds a nontrivial gcd.
 
-    Exact mode: a measured n0 sharing a divisor with N reveals it at once;
-    otherwise one A sample is taken from the conditional and its gcd
-    tested.  Qubit mode first maps the measured bin to the index j of the
-    nearest peak j*2**Q/N and tests gcd(j, N), since the marginal
-    concentrates there.  The run's marginal is built once, on first use.
+    Exact mode: a measured n0 sharing a divisor with N reveals it at once.
+    Qubit mode maps the measured bin to the index j of the nearest peak
+    j*2**Q/N and tests gcd(j, N).  Otherwise one A sample is drawn from
+    the unnormalised column the conditional report prints (sample_cdf
+    scales by its mass), and its gcd tested.  The run's marginal is built
+    once, on first use.
     """
     n = run.n
     pb_cdf = np.cumsum(run.pb_probs)
@@ -375,9 +372,7 @@ def sample_factor_driver(run: SuperpositionRun, max_trials: int, seed: int) -> D
         factor = nontrivial_divisor(peak_index(n0, n, len(pb_cdf)), n)
         ell = None
         if factor is None:
-            exact = run.grids is not None
-            cond = exact_conditional(run, n0).probs if exact else _qubit_conditional_probs(run, n0)
-            ell = sample_outcome(cond, rng)
+            ell = sample_outcome(_column(run, n0), rng)
             factor = nontrivial_divisor(ell, n)
         return TrialRecord(t, n0, outcome_a=ell, factor=factor)
 

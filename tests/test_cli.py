@@ -340,6 +340,30 @@ def test_negative_trials_exit_2(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize(
+    "args, key, value, message",
+    [
+        (("shor-gauss", "--n", "35"), "q", "abc", "--q expects an integer, got 'abc'"),
+        (("shor-gauss", "--n", "35"), "seed", "x", "--seed expects an integer, got 'x'"),
+        # an even n: a rejected value is reported before any halving note
+        (("superposition", "--n", "42"), "mode", "bogus",
+         "--mode must be exact or qubit, got 'bogus'"),
+        (("superposition", "--n", "42"), "report", "bogus", "unknown --report 'bogus'"),
+        (("purity", "--n", "21"), "format", "xml", "--format must be csv or json, got 'xml'"),
+        (("gauss-table", "--n", "42"), "kind", "zz",
+         "--kind must be one of standard|w|truncated|g, got 'zz'"),
+    ],
+    ids=["q", "seed", "mode", "report", "format", "kind"],
+)
+def test_bad_value_same_one_line_from_flag_and_config(tmp_path, capsys, args, key, value, message):
+    rc, out, err = run_main(*args, f"--{key}", value, capsys=capsys)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {value}\n")
+    rc, out, err = run_main(*args, "--config", str(conf), capsys=capsys)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "mode, n0, size",
     [
         (("--mode", "exact"), -1, 91),

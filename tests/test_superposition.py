@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gausshor.numtheory import NotSemiprimeError, factor_semiprime
+from gausshor.numtheory import NotSemiprimeError, factor_semiprime, nontrivial_divisor
+from gausshor.shor_gauss import peak_bin
 from gausshor.states import (
     BipartiteState,
     StateIntegrityError,
+    ZeroMarginalError,
     abs_sq,
     apply_quadratic_phase,
     conditional_a,
@@ -19,12 +21,13 @@ from gausshor.states import (
     qft_b,
     quadratic_phase_grid,
     row_blocks,
+    sample_cdf,
     sample_outcome,
     uniform_product,
 )
 from gausshor import superposition
 from gausshor.superposition import (
-    _qubit_conditional_probs,
+    _column,
     conditional_after_peak,
     exact_conditional,
     factor_mass_a,
@@ -38,7 +41,7 @@ from gausshor.superposition import (
     success_mass,
     useful_mass_closed_reference,
 )
-from gausshor.trials import trial_rng
+from gausshor.trials import DriverResult, TrialRecord, trial_rng
 
 import oracles
 
@@ -199,7 +202,7 @@ def test_qubit_conditional_fold_matches_two_scale_oracle(n):
     run = run_qubit(n, q_bits)
     peak = (2 * 3 * size + n) // (2 * n)  # nearest bin to 3 * 2**Q / N
     for n0 in (0, peak, peak + 5):
-        col = _qubit_conditional_probs(run, n0)
+        col = _column(run, n0)
         assert len(col) == size
         # rows l >= N come from the residue fold, not from their own sum
         for ell in range(2 * n):
@@ -213,7 +216,7 @@ def test_qubit_conditional_phase_reduced_exactly(j):
     n, q_bits = 91, 14
     size = 1 << q_bits
     n0 = (2 * j * size + n) // (2 * n)  # nearest bin to j * 2**Q / N
-    col = _qubit_conditional_probs(run_qubit(n, q_bits), n0)
+    col = _column(run_qubit(n, q_bits), n0)
     expected = np.array(
         [abs(oracles.two_scale_direct(n0, ell, n, size)) ** 2 / size for ell in range(n)]
     )
@@ -260,7 +263,7 @@ def test_qubit_conditional_residue_sums_match_index_grid():
             folded[r] = amps.real**2 + amps.imag**2
         expected = np.resize(folded, size) / size
         scale = 1 / size if n0 in (1, 7, size - 1) else np.max(expected)
-        assert np.max(np.abs(_qubit_conditional_probs(run, n0) - expected)) <= 1e-14 * scale, n0
+        assert np.max(np.abs(_column(run, n0) - expected)) <= 1e-14 * scale, n0
 
 
 def test_qubit_conditional_matches_two_scale_oracle_at_221():
@@ -269,7 +272,7 @@ def test_qubit_conditional_matches_two_scale_oracle_at_221():
     run = run_qubit(n, q_bits)
     for j in (1, 13, n - 1):
         n0 = round(j * size / n)
-        col = _qubit_conditional_probs(run, n0)
+        col = _column(run, n0)
         ells = (0, 1, 13, 17, n - 1)
         expected = np.array(
             [abs(oracles.two_scale_direct(n0, ell, n, size)) ** 2 / size for ell in ells]
@@ -282,7 +285,7 @@ def test_qubit_conditional_peak_allocation_below_eight_register_vectors():
     run = run_qubit(91, 14)
     tracemalloc.start()
     try:
-        _qubit_conditional_probs(run, 8102)
+        _column(run, 8102)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -338,6 +341,27 @@ def test_conditional_after_peak_structure():
     assert float(np.sum(d7.probs[m3 & ~m7])) < 1e-3
     with pytest.raises(ValueError):
         conditional_after_peak(run, 12)
+
+
+@pytest.mark.parametrize("n, q_bits", [(21, 9), (91, 14)])
+def test_conditional_after_peak_accepts_exactly_the_peak_bins(n, q_bits):
+    size = 1 << q_bits
+    run = run_qubit(n, q_bits)
+    peaks = {peak_bin(j, n, q_bits) for j in range(n)}
+    for n_peak in range(size):
+        if n_peak in peaks:
+            assert conditional_after_peak(run, n_peak).probs.shape == (size,)
+        else:
+            with pytest.raises(ValueError, match="not within half a bin"):
+                conditional_after_peak(run, n_peak)
+
+
+def test_zero_column_raises_zero_marginal(monkeypatch, run91):
+    monkeypatch.setattr(superposition, "_column", lambda run, n0: np.zeros(run.n))
+    with pytest.raises(ZeroMarginalError):
+        conditional_after_peak(run_qubit(21, 9), 0)
+    with pytest.raises(ZeroMarginalError):
+        exact_conditional(run91, 0)
 
 
 def test_runs_reject_operations_of_the_other_kind(run91):
@@ -614,6 +638,32 @@ def test_sample_factor_driver_exact_records_pinned(n):
 
 def test_sample_factor_driver_reuses_prepared_run(run91):
     assert sample_factor_driver(run91, 100, 7) == sample_factor_driver(run_exact(91), 100, 7)
+
+
+def _normalised_exact_driver(run, max_trials, seed):
+    """The exact-mode driver with every A sample drawn from the normalised conditional."""
+    n = run.n
+    pb_cdf = np.cumsum(p_b_distribution(run).probs)
+    records = []
+    for t in range(max_trials):
+        rng = trial_rng(seed, t)
+        n0 = sample_cdf(pb_cdf, rng)
+        rec = TrialRecord(t, n0, factor=nontrivial_divisor(n0, n))
+        if rec.factor is None:
+            ell = sample_outcome(exact_conditional(run, n0).probs, rng)
+            rec = TrialRecord(t, n0, outcome_a=ell, factor=nontrivial_divisor(ell, n))
+        records.append(rec)
+        if rec.factor is not None:
+            return DriverResult(n, True, rec.factor, t + 1, max_trials, seed, tuple(records))
+    return DriverResult(n, False, None, max_trials, max_trials, seed, tuple(records))
+
+
+@pytest.mark.parametrize("n", [91, 1147])
+def test_exact_driver_samples_the_normalised_conditional(n):
+    run = run_exact(n)
+    for seed in range(200):
+        expected = _normalised_exact_driver(run, 100, seed)
+        assert sample_factor_driver(run, 100, seed) == expected, seed
 
 
 # the moduli of the benchmark's sweep
