@@ -70,6 +70,7 @@ from .superposition import (
     run_qubit,
     sample_factor_driver,
     success_mass,
+    success_probability,
     useful_mass_closed_reference,
 )
 from .trials import DriverResult, TrialRecord, trial_rng

@@ -4,13 +4,17 @@ Subcommands: gauss-table, shor-gauss, superposition, purity, sweep.  Output
 is CSV (schema comment header) or JSON carrying identical numeric content;
 floats are rendered with 17 significant digits in both, so files re-parse
 to the same doubles and repeated runs with one seed are byte-identical.
-Both formats render each section column by column through one cell
-formatter, which formats each distinct value of a column once.  A report
-is rendered and written in pages of at most 1,024 rows, a longer table in
-slices, so no command holds the whole text of a long report.  A
-distribution section has one row per register label, in label order,
-zero-probability labels included, so its rows do not depend on whether
-rounding leaves an analytic zero at 0.0 or at 1e-35.
+A section holds its table as typed columns, and both formats render it
+column by column through one column formatter: a float64 column is
+deduplicated on its bits and each distinct double formatted once, an
+integer label column cell by cell, a coded annotation column (few
+distinct texts and one code per row) one text at a time, and a plain list
+through a per-value memo.  A report is rendered and written in pages of
+at most 1,024 rows, a longer table in slices of its columns, so no
+command holds the whole text of a long report.  A distribution section
+has one row per register label, in label order, zero-probability labels
+included, so its rows do not depend on whether rounding leaves an
+analytic zero at 0.0 or at 1e-35.
 
 Exit codes: 0 success, 1 driver exhausted its trial budget, 2 invalid input
 or an output file that cannot be written.
@@ -174,19 +178,40 @@ def _reduce_even(n: int) -> int:
 # output rendering
 
 
+@dataclass(frozen=True)
+class Coded:
+    """A column of few distinct texts: row i's cell is texts[codes[i]]."""
+
+    texts: tuple[str, ...]
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> Coded:
+        return Coded(self.texts, self.codes[rows])
+
+
 @dataclass
 class Section:
     """One table of the report, or the slice of it from row ``start`` on.
 
-    Every row has one value per header column.  A slice with start > 0
-    continues the table of the slice before it and has no heading.
+    The table is held column by column, one column per header name: a
+    float64 or integer array, a Coded column, or a plain list of cells.
+    A slice with start > 0 continues the table of the slice before it and
+    has no heading.
     """
 
     name: str
     attrs: list[tuple[str, str]] = field(default_factory=list)
     header: tuple[str, ...] = ()
-    rows: list[tuple] = field(default_factory=list)
+    columns: list = field(default_factory=list)
     start: int = 0
+
+    @property
+    def rows(self) -> range:
+        """The indices of this slice's rows in its table."""
+        return range(self.start, self.start + (len(self.columns[0]) if self.columns else 0))
 
 
 def render_csv(cfg: RunConfig, sections: list[Section], head=True, tail=True) -> str:
@@ -234,18 +259,37 @@ def _format_cell(v, json: bool) -> str:
     return _json_escape(text) if json else text
 
 
-def _format_column(values, json: bool, prefix: str = "") -> list[str]:
-    """prefix + the text of each cell of one column, each distinct value formatted once.
+def _gather(keys: np.ndarray, texts_of) -> list[str]:
+    """The text of each cell's key: texts_of maps the sorted distinct keys to their texts."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return list(map(texts_of(distinct).__getitem__, inverse.tolist()))
 
-    The memo is keyed on type and value, and zeros also on their text, so
-    0.0 and -0.0, True and 1, and 1 and 1.0 each keep their own text.  A
-    column of plain ints (register labels, all distinct) skips the memo.
+
+def _format_column(col, json: bool, prefix: str = "") -> list[str]:
+    """prefix + the text of each cell of one column, by the column's kind.
+
+    A float64 array is deduplicated on its bits, so -0.0 and 0.0 keep
+    their own texts, and each distinct double is formatted once.  An
+    integer array (register labels, all distinct) is formatted cell by
+    cell.  A Coded column formats, and in JSON escapes, each text its
+    cells use once.  A plain list goes through a memo keyed on type and
+    value, and zeros also on their text, so 0.0 and -0.0, True and 1, and
+    1 and 1.0 each keep their own text.
     """
-    if set(map(type, values)) == {int}:
-        return [prefix + text for text in map(str, values)]
+    if isinstance(col, Coded):
+        texts = col.texts
+        return _gather(col.codes, lambda used: [
+            prefix + (_json_escape(texts[c]) if json else texts[c]) for c in used.tolist()
+        ])
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return _gather(col.view(np.uint64), lambda bits: [
+            prefix + format(v, ".17g") for v in bits.view(np.float64).tolist()
+        ])
+    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+        return [prefix + text for text in map(str, col.tolist())]
     memo: dict = {}
     out = []
-    for v in values:
+    for v in col:
         key = (type(v), v, str(v) if v == 0 else None)
         text = memo.get(key)
         if text is None:
@@ -258,7 +302,7 @@ def _columns(sec: Section, json: bool) -> list[list[str]]:
     """The section's cells column by column; a JSON cell leads with its escaped key."""
     return [
         _format_column(col, json, f"{_json_escape(key)}: " if json else "")
-        for key, col in zip(sec.header, zip(*sec.rows))
+        for key, col in zip(sec.header, sec.columns)
     ]
 
 
@@ -298,8 +342,10 @@ def _pages(sections: list[Section]) -> list[list[Section]]:
     pages, room = [[]], _PAGE_ROWS
     for sec in sections:
         if len(sec.rows) > _PAGE_ROWS:
-            starts = range(0, len(sec.rows), _PAGE_ROWS)
-            slices = [replace(sec, rows=sec.rows[i : i + _PAGE_ROWS], start=i) for i in starts]
+            slices = [
+                replace(sec, columns=[col[i : i + _PAGE_ROWS] for col in sec.columns], start=i)
+                for i in range(0, len(sec.rows), _PAGE_ROWS)
+            ]
         else:
             slices = [sec]
         for piece in slices:
@@ -328,14 +374,19 @@ def emit(cfg: RunConfig, sections: list[Section]) -> None:
 
 # ---------------------------------------------------------------------------
 # annotations shared by table emitters: an annotator maps a column of
-# integer labels to one note per label
+# integer labels to a Coded column of one note per label
 
 
 def _gcd_notes(n: int, notes: dict[int, str], default: str = ""):
     """Annotator: the note of gcd(label mod n, n) for each label, or default."""
-    return lambda labels: [
-        notes.get(g, default) for g in np.gcd(np.asarray(labels) % n, n).tolist()
-    ]
+
+    def annotate(labels) -> Coded:
+        # code the n residues by their gcd class once, then gather by residue
+        classes, codes = np.unique(np.gcd(np.arange(n), n), return_inverse=True)
+        residues = (np.asarray(labels) % n).astype(np.intp)  # labels past int64 are objects
+        return Coded(tuple(notes.get(g, default) for g in classes.tolist()), codes[residues])
+
+    return annotate
 
 
 def _divisor_notes(n: int):
@@ -343,8 +394,14 @@ def _divisor_notes(n: int):
 
 
 def _label_notes(notes: dict[int, str]):
-    """Annotator: the note of each label, or none."""
-    return lambda labels: [notes.get(label, "") for label in labels.tolist()]
+    """Annotator of the labels 0, 1, ...: the note of each label, or none."""
+
+    def annotate(labels) -> Coded:
+        codes = np.zeros(len(labels), dtype=np.intp)
+        codes[np.fromiter(notes, np.intp, len(notes))] = np.arange(1, len(notes) + 1)
+        return Coded(("", *notes.values()), codes)
+
+    return annotate
 
 
 def _distribution_section(
@@ -353,9 +410,10 @@ def _distribution_section(
     annotate,
     attrs: list[tuple[str, str]] | None = None,
 ) -> Section:
+    """One row per register label: the label, its probability and its note."""
     labels = np.arange(len(dist.probs))
-    rows = list(zip(labels.tolist(), dist.probs.tolist(), annotate(labels)))
-    return Section(name, attrs or [], ("label", "probability", "annotation"), rows)
+    header = ("label", "probability", "annotation")
+    return Section(name, attrs or [], header, [labels, dist.probs, annotate(labels)])
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +436,11 @@ def cmd_gauss_table(cfg: RunConfig) -> int:
     start = 0 if kind == "w" else 1
     ells = range(start, n + start) if cfg.ell is None else [cfg.ell]
     try:
-        values = [value_of(ell) for ell in ells]
+        values = np.array([value_of(ell) for ell in ells])
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    rows = list(zip(ells, values, _divisor_notes(n)(ells)))
-    emit(cfg, [Section("table", [("kind", kind)], ("label", "value", "annotation"), rows)])
+    columns = [np.asarray(ells), values, _divisor_notes(n)(ells)]
+    emit(cfg, [Section("table", [("kind", kind)], ("label", "value", "annotation"), columns)])
     return 0
 
 
@@ -415,16 +473,17 @@ def _annotate_bins(s: Semiprime, q_bits: int, periods: list[int]):
 
 def _field_section(name: str, obj, fields: str, attrs=None) -> Section:
     """A field,value section holding the named attributes of obj."""
-    rows = [(f, getattr(obj, f)) for f in fields.split()]
-    return Section(name, attrs or [], ("field", "value"), rows)
+    names = fields.split()
+    return Section(name, attrs or [], ("field", "value"), [names, [getattr(obj, f) for f in names]])
 
 
 def _driver_sections(result) -> list[Section]:
     header = ("trial", "outcome_b", "outcome_a", "candidate", "factor")
-    trials = [(r.index, r.outcome_b, r.outcome_a, r.candidate, r.factor) for r in result.records]
+    fields = ("index", "outcome_b", "outcome_a", "candidate", "factor")
+    trials = [[getattr(r, f) for r in result.records] for f in fields]
     return [
         _field_section("driver", result, "n succeeded factor trials_run max_trials seed"),
-        Section("trials", header=header, rows=trials),
+        Section("trials", header=header, columns=trials),
     ]
 
 
@@ -459,12 +518,14 @@ def cmd_shor_gauss(cfg: RunConfig) -> int:
     allow = cfg.allow_small_register
     branches = _checked(shor_gauss.branch_probs, s, q_bits, allow)
 
-    rows = [
-        (b.label, float(b.probability),
-         f"case-{b.kind.value} exact={_over_denominator(b.probability, 1 << q_bits)}")
-        for b in branches
+    columns = [
+        [b.label for b in branches],
+        [float(b.probability) for b in branches],
+        [f"case-{b.kind.value} exact={_over_denominator(b.probability, 1 << q_bits)}"
+         for b in branches],
     ]
-    sections = [Section("branch_probs", header=("label", "probability", "annotation"), rows=rows)]
+    header = ("label", "probability", "annotation")
+    sections = [Section("branch_probs", header=header, columns=columns)]
     if cfg.branch:
         label = _parse_branch(cfg.branch, s)
         dist = _checked(shor_gauss.qft_distribution, s, q_bits, label, allow)
@@ -481,7 +542,7 @@ def cmd_shor_gauss(cfg: RunConfig) -> int:
         for period in periods:
             rep = shor_gauss.analyze_peaks(dist, period, q_bits, modulus=s.n)
             sec = _field_section("peak_report", rep, fields, [("period", str(period))])
-            sec.rows[1] = ("positions", " ".join(map(str, rep.positions)))  # one cell
+            sec.columns[1][1] = " ".join(map(str, rep.positions))  # one cell
             sections.append(sec)
     result = None
     if cfg.trials > 0:
@@ -493,15 +554,17 @@ def cmd_shor_gauss(cfg: RunConfig) -> int:
     return _driver_summary_line(cfg, result) if result is not None else 0
 
 
-def _purity_report(run, *lead_rows) -> tuple[Section, str]:
-    """The purity section of an exact run, and its one-line summary."""
+def _purity_report(run, **lead) -> tuple[Section, str]:
+    """The purity section of an exact run after the lead fields, and its one-line summary."""
     measured = superposition.purity(run)
     closed = purity_closed(run.s)
     closed_text = _over_denominator(closed, run.n * run.n)
-    rows = [*lead_rows, ("measured", measured), ("closed", closed_text),
-            ("closed_float", float(closed))]
+    columns = [
+        [*lead, "measured", "closed", "closed_float"],
+        [*lead.values(), measured, closed_text, float(closed)],
+    ]
     return (
-        Section("purity", header=("field", "value"), rows=rows),
+        Section("purity", header=("field", "value"), columns=columns),
         f"purity={format(measured, '.17g')} closed={closed_text}",
     )
 
@@ -572,7 +635,7 @@ def cmd_superposition(cfg: RunConfig) -> int:
 def cmd_purity(cfg: RunConfig) -> int:
     n = _reduce_even(_require_n(cfg))
     run = _checked(superposition.run_exact, n)
-    sec, line = _purity_report(run, ("n", n))
+    sec, line = _purity_report(run, n=n)
     emit(cfg, [sec])
     if cfg.output:
         print(line)
@@ -602,12 +665,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise InputError(f"--n expects a comma-separated integer list, got {cfg.n!r}") from None
     if not values:
         raise InputError("--n list is empty")
-    sec = Section(
-        "sweep",
-        header=("n", "p", "q", "purity", "purity_closed", "useful_mass"),
-    )
-    sec.rows.extend(_sweep_row(raw) for raw in values)
-    emit(cfg, [sec])
+    header = ("n", "p", "q", "purity", "purity_closed", "useful_mass")
+    columns = [list(col) for col in zip(*map(_sweep_row, values))]
+    emit(cfg, [Section("sweep", header=header, columns=columns)])
     return 0
 
 

@@ -187,6 +187,21 @@ def factor_mass_a(run: SuperpositionRun, n0: int) -> float:
     return float(np.sum(cond.probs[_factor_residues(run.s)]))
 
 
+def success_probability(s: Semiprime) -> Fraction:
+    """Exact chance that one exact-mode driver trial finds a factor.
+
+    P* = [(q-1)^2 (2p-1) + (p-1)^2 (2q-1) + p(q-1) + q(p-1)] / N^2.  A B
+    outcome that is a nonzero multiple of p or q reveals the factor at
+    once (the first two terms).  After a coprime outcome the A conditional
+    is uniform on the units of Z_N, so the A sample never helps; after
+    n0 = 0 it finds a factor when it lands on a nonzero multiple of p or
+    q (the last two terms).
+    """
+    n, p, q = s.n, s.p, s.q
+    hits = (q - 1) ** 2 * (2 * p - 1) + (p - 1) ** 2 * (2 * q - 1) + p * (q - 1) + q * (p - 1)
+    return Fraction(hits, n * n)
+
+
 def purity(run: SuperpositionRun) -> float:
     """Purity Tr(rho_A^2) of an exact run: the product of its factor grids' purities.
 

@@ -1,27 +1,35 @@
+import contextlib
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gausshor
 from gausshor import superposition
 from gausshor.cli import (
+    Coded,
     RunConfig,
     Section,
     _distribution_section,
     _divisor_notes,
     _json_escape,
     _pages,
+    build_parser,
     emit,
     main,
+    merge_config,
     render_csv,
     render_json,
 )
@@ -606,11 +614,15 @@ def _reference_sections():
     ]
 
 
+def _plain_section(name, attrs, header, rows) -> Section:
+    """A Section of plain-list columns holding the reference rows."""
+    return Section(name, list(attrs), header, [list(col) for col in zip(*rows)])
+
+
 def test_renderers_match_per_cell_reference():
     cfg = RunConfig(command="superposition", n="91", mode='ex"act\t')
     sections = _reference_sections()
-    ours = [Section(name, list(attrs), header, list(rows))
-            for name, attrs, header, rows in sections]
+    ours = [_plain_section(*sec) for sec in sections]
     items = cfg.echo_items()
     assert render_csv(cfg, ours) == render_reference.render_csv(items, sections)
     assert render_json(cfg, ours) == render_reference.render_json(items, sections)
@@ -623,8 +635,8 @@ def test_emit_pages_write_the_whole_document(monkeypatch, tmp_path, capsys, fmt,
     # tables of 58, 40 and 0 rows: pages of 1, 2 and 3 rows cut both long
     # tables into slices (3 leaves a one-row slice), 58 rows fill a page with
     # the first table, 97 move the second to a new page and 1,024 hold all
-    sections = [Section(name, list(attrs), header, list(rows))
-                for name, attrs, header, rows in _reference_sections()[:count]]
+    reference = _reference_sections()[:count]
+    sections = [_plain_section(*sec) for sec in reference]
     monkeypatch.setattr("gausshor.cli._PAGE_ROWS", page_rows)
     render = render_csv if fmt == "csv" else render_json
     whole = render(RunConfig(command="superposition", format=fmt), sections)
@@ -635,8 +647,8 @@ def test_emit_pages_write_the_whole_document(monkeypatch, tmp_path, capsys, fmt,
     assert capsys.readouterr().out == whole
     pages = _pages(sections)
     assert all(sum(len(sec.rows) for sec in page) <= page_rows for page in pages)
-    assert [row for page in pages for sec in page for row in sec.rows] == [
-        row for sec in sections for row in sec.rows
+    assert [row for page in pages for sec in page for row in zip(*sec.columns)] == [
+        row for _, _, _, rows in reference for row in rows
     ]
     for page, following in zip(pages, pages[1:]):  # a page ends only when full
         assert sum(len(sec.rows) for sec in page) + len(following[0].rows) > page_rows
@@ -655,6 +667,110 @@ def test_emit_never_holds_a_long_report_whole(tmp_path):
         tracemalloc.stop()
     assert len(sections[0].rows) == 2**14
     assert peak < out.stat().st_size / 2
+
+
+# floats whose texts a value-keyed dedupe would confuse or a careless
+# formatter would mangle: both zeros, NaN, infinities and subnormals
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.5e-310,
+                2.2250738585072014e-308, 1e-17, 0.1 + 0.2, 1.0, -1.0, 1e300]
+_ESCAPE_TEXT = st.text(st.sampled_from('ab "\\\x00\x01\t\n\x1f\x7fé'), max_size=6)
+
+
+@st.composite
+def _typed_table(draw):
+    """(columns, rows): an int label, a float64 and a coded column, and the rows they hold."""
+    size = draw(st.integers(0, 40))
+    labels = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=size, max_size=size))
+    pool = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64))
+    floats = draw(st.lists(pool, min_size=size, max_size=size))
+    texts = tuple(draw(st.lists(_ESCAPE_TEXT, min_size=1, max_size=5)))
+    codes = draw(st.lists(st.integers(0, len(texts) - 1), min_size=size, max_size=size))
+    columns = [np.array(labels, dtype=np.int64), np.array(floats, dtype=np.float64),
+               Coded(texts, np.array(codes, dtype=np.intp))]
+    rows = [(label, x, texts[c]) for label, x, c in zip(labels, floats, codes)]
+    return columns, rows
+
+
+@pytest.mark.parametrize("page_rows", [1, 3, 1024])
+@settings(max_examples=60, deadline=None)
+@given(table=_typed_table(), shift=st.integers(0, 5))
+@example(table=([np.arange(4), np.array([0.0, -0.0, -0.0, 0.0]),
+                 Coded(('"', "\\", "\x00"), np.array([2, 1, 0, 1]))],
+                [(0, 0.0, "\x00"), (1, -0.0, "\\"), (2, -0.0, '"'), (3, 0.0, "\\")]),
+         shift=0)
+def test_typed_columns_render_as_the_per_cell_reference(page_rows, table, shift):
+    # a plain-list section of `shift` rows first moves where pages cut the typed one
+    columns, rows = table
+    lead = [(f"f{i}", -0.0 if i % 2 else 0.0) for i in range(shift)]
+    reference = [("lead", [], ("field", "value"), lead),
+                 ("typed", [("n0", '"7"')], ("label", "probability", 'note"\\'), rows)]
+    sections = [_plain_section(*reference[0]), Section(*reference[1][:3], columns)]
+    for fmt in ("csv", "json"):
+        cfg = RunConfig(command="superposition", format=fmt)
+        out = io.StringIO()
+        with mock.patch("gausshor.cli._PAGE_ROWS", page_rows), contextlib.redirect_stdout(out):
+            emit(cfg, sections)
+        render = render_reference.render_csv if fmt == "csv" else render_reference.render_json
+        assert out.getvalue() == render(cfg.echo_items(), reference), fmt
+
+
+def _divisor_note(n: int, label: int) -> str:
+    g = math.gcd(label, n)
+    return "" if g == 1 else "multiple-of-N" if g == n else "factor-multiple"
+
+
+def _distribution_rows(probs: np.ndarray, note) -> list[tuple]:
+    return [(k, x, note(k)) for k, x in enumerate(probs.tolist())]
+
+
+def _readme_qubit_sections():
+    n, n0 = 91, 8102
+    cond = superposition.conditional_after_peak(superposition.run_qubit(n, 14), n0)
+    rows = _distribution_rows(cond.probs, lambda k: _divisor_note(n, k))
+    return [("conditional", [("n0", str(n0))], ("label", "probability", "annotation"), rows)]
+
+
+def _readme_exact_sections():
+    n, p, q, n0 = 91, 7, 13, 14
+    run = superposition.run_exact(n)
+    pb_notes = {n: "useful n0=0", p: f"useful gcd={p}", q: f"useful gcd={q}"}
+    header = ("label", "probability", "annotation")
+    pb = _distribution_rows(run.pb_probs, lambda k: pb_notes.get(math.gcd(k, n), ""))
+    cond = superposition.exact_conditional(run, n0)
+    sm = superposition.success_mass(run)
+    closed = 4 * n - 2 * p - 2 * q + 1  # the purity's numerator over N**2
+    result = superposition.sample_factor_driver(run, 1000, 7)
+    return [
+        ("pb", [], header, pb),
+        ("conditional", [("n0", str(n0))], header,
+         _distribution_rows(cond.probs, lambda k: _divisor_note(n, k))),
+        ("success_mass", [], ("field", "value"),
+         [(f, getattr(sm, f)) for f in ("p_b_zero", "p_b_factor_multiple", "p_b_coprime",
+                                        "total_useful")]),
+        ("purity", [], ("field", "value"),
+         [("measured", superposition.purity(run)), ("closed", f"{closed}/{n * n}"),
+          ("closed_float", closed / (n * n))]),
+        ("driver", [], ("field", "value"),
+         [(f, getattr(result, f)) for f in ("n", "succeeded", "factor", "trials_run",
+                                            "max_trials", "seed")]),
+        ("trials", [], ("trial", "outcome_b", "outcome_a", "candidate", "factor"),
+         [(r.index, r.outcome_b, r.outcome_a, r.candidate, r.factor) for r in result.records]),
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("args, sections", [
+    ("superposition --n 91 --mode qubit --q 14 --report conditional --n0 8102",
+     _readme_qubit_sections),
+    ("superposition --n 91 --mode exact --trials 1000 --seed 7 --n0 14", _readme_exact_sections),
+], ids=["qubit-conditional", "exact-driver"])
+def test_readme_reports_match_the_per_cell_reference(capsys, fmt, args, sections):
+    argv = args.split() + ["--format", fmt]
+    rc, out, _ = run_main(*argv, capsys=capsys)
+    assert rc == 0
+    items = merge_config(build_parser().parse_args(argv)).echo_items()
+    render = render_reference.render_csv if fmt == "csv" else render_reference.render_json
+    assert out == render(items, sections())
 
 
 def test_qubit_conditional_report_never_builds_marginal(monkeypatch, capsys):

@@ -39,6 +39,7 @@ from gausshor.superposition import (
     run_qubit,
     sample_factor_driver,
     success_mass,
+    success_probability,
     useful_mass_closed_reference,
 )
 from gausshor.trials import DriverResult, TrialRecord, trial_rng
@@ -664,6 +665,20 @@ def test_exact_driver_samples_the_normalised_conditional(n):
     for seed in range(200):
         expected = _normalised_exact_driver(run, 100, seed)
         assert sample_factor_driver(run, 100, seed) == expected, seed
+
+
+@pytest.mark.parametrize("n, expected", [(21, Fraction(88, 147)), (91, Fraction(2934, 8281)),
+                                         (221, Fraction(11564, 48841))])
+def test_success_probability_closed_form(n, expected):
+    s = factor_semiprime(n)
+    assert success_probability(s) == expected
+    # a trial succeeds on a factor-multiple B outcome, or else on its A sample
+    run = run_exact(n)
+    total = math.fsum(
+        float(run.pb_probs[k]) * (1.0 if math.gcd(k, n) in (s.p, s.q) else factor_mass_a(run, k))
+        for k in range(n)
+    )
+    assert abs(total - float(expected)) <= 1e-12
 
 
 # the moduli of the benchmark's sweep
