@@ -8,8 +8,8 @@ A section holds its table as typed columns, and both formats render it
 column by column through one column formatter: a float64 column is
 deduplicated on its bits and each distinct double formatted once, an
 integer label column cell by cell, a coded annotation column (few
-distinct texts and one code per row) one text at a time, and a plain list
-through a per-value memo.  A report is rendered and written in pages of
+distinct texts and one code per row) one text at a time, and a short
+plain list cell by cell.  A report is rendered and written in pages of
 at most 1,024 rows, a longer table in slices of its columns, so no
 command holds the whole text of a long report.  A distribution section
 has one row per register label, in label order, zero-probability labels
@@ -272,9 +272,9 @@ def _format_column(col, json: bool, prefix: str = "") -> list[str]:
     their own texts, and each distinct double is formatted once.  An
     integer array (register labels, all distinct) is formatted cell by
     cell.  A Coded column formats, and in JSON escapes, each text its
-    cells use once.  A plain list goes through a memo keyed on type and
-    value, and zeros also on their text, so 0.0 and -0.0, True and 1, and
-    1 and 1.0 each keep their own text.
+    cells use once.  Anything else (the short plain lists of the field,
+    trial, sweep and branch sections, a one-cell object label) is
+    formatted cell by cell.
     """
     if isinstance(col, Coded):
         texts = col.texts
@@ -287,15 +287,7 @@ def _format_column(col, json: bool, prefix: str = "") -> list[str]:
         ])
     if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
         return [prefix + text for text in map(str, col.tolist())]
-    memo: dict = {}
-    out = []
-    for v in col:
-        key = (type(v), v, str(v) if v == 0 else None)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = prefix + _format_cell(v, json)
-        out.append(text)
-    return out
+    return [prefix + _format_cell(v, json) for v in col]
 
 
 def _columns(sec: Section, json: bool) -> list[list[str]]:
@@ -377,14 +369,18 @@ def emit(cfg: RunConfig, sections: list[Section]) -> None:
 # integer labels to a Coded column of one note per label
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _gcd_notes(n: int, notes: dict[int, str], default: str = ""):
     """Annotator: the note of gcd(label mod n, n) for each label, or default."""
 
     def annotate(labels) -> Coded:
-        # code the n residues by their gcd class once, then gather by residue
-        classes, codes = np.unique(np.gcd(np.arange(n), n), return_inverse=True)
-        residues = (np.asarray(labels) % n).astype(np.intp)  # labels past int64 are objects
-        return Coded(tuple(notes.get(g, default) for g in classes.tolist()), codes[residues])
+        # code the labels by their own gcd classes, so the cost follows the
+        # labels and not n; a label or an n past int64 goes through Python ints
+        labels = np.asarray(labels, dtype=object if n > _INT64_MAX else None)
+        classes, codes = np.unique(np.gcd(labels % n, n), return_inverse=True)
+        return Coded(tuple(notes.get(g, default) for g in classes.tolist()), codes)
 
     return annotate
 

@@ -181,6 +181,26 @@ def test_gauss_table_w_zero_structure(capsys):
             assert abs(float(r["value"])) < 1e-12, label
 
 
+# annotating one label costs one gcd, whatever n is: n = 10**18 + 3 fits
+# int64 and n = 10**40 + 3 (divisible by 7) does not
+@pytest.mark.parametrize("n", [10**18 + 3, 10**40 + 3])
+@pytest.mark.parametrize("kind", ["g", "truncated"])
+@pytest.mark.parametrize(
+    "ell_of", [lambda n: 7, lambda n: 21, lambda n: n, lambda n: 10**29],
+    ids=["7", "21", "n", "1e29"],
+)
+def test_gauss_table_one_label_at_a_large_n(n, kind, ell_of, capsys):
+    ell = ell_of(n)
+    rc, out, err = run_main(
+        "gauss-table", "--n", str(n), "--kind", kind, "--ell", str(ell), capsys=capsys
+    )
+    assert (rc, err) == (0, "")
+    (row,) = parse_csv_sections(out)[f"table kind={kind}"]
+    g = math.gcd(ell, n)
+    note = "" if g == 1 else "multiple-of-N" if g == n else "factor-multiple"
+    assert (int(row["label"]), row["annotation"]) == (ell, note)
+
+
 def test_gauss_table_truncated_ell_zero_exits_2(capsys):
     rc, _, err = run_main(
         "gauss-table", "--n", "91", "--kind", "truncated", "--terms", "5",
@@ -594,7 +614,7 @@ def test_json_escape(text, expected):
 
 
 # one column mixes values that compare equal but print differently, so a
-# memo keyed on the value alone would hand one of them the other's text
+# formatter that shared texts by value alone would hand one the other's text
 _MIXED = [
     0.0, -0.0, 0, False, 1, True, 1.0, np.float64(-0.0), np.float64(0.0), np.float32(0.5),
     np.int64(1), np.int64(0), np.bool_(True), Fraction(0), Fraction(3, 4), Fraction(-3),
