@@ -1,29 +1,33 @@
 """Command-line front end: table and distribution emission plus the drivers.
 
-Subcommands: gauss-table, shor-gauss, superposition, purity, sweep.  Output
+Subcommands: gauss-table, shor-gauss, superposition, purity, sweep.  One
+table, _USAGE, gives each subcommand's help line and the flags it takes,
+each a RunConfig key given as ``--key value`` or ``--key=value``; the
+command line is read against it, and --help is printed from it.  Output
 is CSV (schema comment header) or JSON carrying identical numeric content;
 floats are rendered with 17 significant digits in both, so files re-parse
 to the same doubles and repeated runs with one seed are byte-identical.
-A section holds its table as typed columns, and both formats render it
-column by column through one column formatter: a float64 column is
-deduplicated on its bits and each distinct double formatted once, an
-integer label column cell by cell, a coded annotation column (few
-distinct texts and one code per row) one text at a time, and a short
-plain list cell by cell.  A report is rendered and written in pages of
-at most 1,024 rows, a longer table in slices of its columns, so no
-command holds the whole text of a long report.  A distribution section
+A section holds its table as typed columns.  A report is rendered and
+written in pages of at most 1,024 rows, a longer table in slices of its
+columns, so no command holds the whole text of a long report.  Before
+paging, each column is coded once per report where that holds at most a
+page of texts: a Coded annotation column, and a float64 column of at most
+a page of distinct bit patterns (so -0.0 and 0.0 keep their own texts),
+become their distinct final cell texts, key prefix and escaping done,
+and one code per row, so a page only gathers texts.  A float64 column
+with more distinct values is coded page by page; integer labels and
+short plain lists are formatted cell by cell.  A distribution section
 has one row per register label, in label order, zero-probability labels
 included, so its rows do not depend on whether rounding leaves an
 analytic zero at 0.0 or at 1e-35.
 
-Exit codes: 0 success, 1 driver exhausted its trial budget, 2 invalid input
-or an output file that cannot be written.
+Exit codes: 0 success (and --help), 1 driver exhausted its trial budget,
+2 invalid input, a rejected command line or an output file that cannot
+be written.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import re
 import sys
 from dataclasses import dataclass, field, replace
@@ -127,22 +131,21 @@ def _from_text(key: str, raw: str):
     return _to_int(key, raw) if kind.startswith("int") else raw
 
 
-def merge_config(ns: argparse.Namespace) -> RunConfig:
-    """Resolve flags over config-file values over defaults.
+def merge_config(command: str, flags: dict[str, str]) -> RunConfig:
+    """Resolve flags ({key: raw text}) over config-file values over defaults.
 
-    Every RunConfig field but the command is a key, accepted by every
-    subcommand; a config-file key outside that set is rejected.
+    Every RunConfig field but the command is a key of the config file,
+    whatever the subcommand; a config-file key outside that set is rejected.
     """
     keys = [key for key in RunConfig.__dataclass_fields__ if key != "command"]
-    file_vals = _parse_config_file(ns.config) if getattr(ns, "config", None) else {}
+    path = flags.get("config")
+    file_vals = _parse_config_file(path) if path else {}
     for key in file_vals:
         if key not in keys:
-            raise InputError(f"{ns.config}: unknown key {key!r}")
-    cfg = RunConfig(command=ns.command)
+            raise InputError(f"{path}: unknown key {key!r}")
+    cfg = RunConfig(command=command)
     for key in keys:
-        value = getattr(ns, key, None)
-        if value is None:
-            value = file_vals.get(key)
+        value = flags.get(key, file_vals.get(key))
         if value is not None:
             setattr(cfg, key, _from_text(key, value))
     if cfg.format not in ("csv", "json"):
@@ -189,7 +192,14 @@ class Coded:
         return len(self.codes)
 
     def __getitem__(self, rows: slice) -> Coded:
-        return Coded(self.texts, self.codes[rows])
+        return replace(self, codes=self.codes[rows])
+
+
+class _Cells(Coded):
+    """A Coded column of final cell texts, key prefix and JSON escaping done.
+
+    Its texts are an object array, so a page gathers its cells in one take.
+    """
 
 
 @dataclass
@@ -259,43 +269,72 @@ def _format_cell(v, json: bool) -> str:
     return _json_escape(text) if json else text
 
 
-def _gather(keys: np.ndarray, texts_of) -> list[str]:
-    """The text of each cell's key: texts_of maps the sorted distinct keys to their texts."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    return list(map(texts_of(distinct).__getitem__, inverse.tolist()))
+def _distinct(bits: np.ndarray):
+    """The sorted distinct values of bits, or None where there are more than _PAGE_ROWS."""
+    ordered = np.sort(bits)
+    starts = ordered[1:] != ordered[:-1]  # where a new distinct value starts
+    if np.count_nonzero(starts) < _PAGE_ROWS:
+        return np.concatenate((ordered[:1], ordered[1:][starts]))
+    return None
+
+
+def _coded(col, json: bool, prefix: str):
+    """The column as _Cells, each distinct text made once and led by prefix, or col itself.
+
+    A Coded column is always coded.  A float64 column is coded on its bits,
+    so -0.0 and 0.0 keep their own texts, if it holds at most _PAGE_ROWS
+    distinct doubles, which bounds its texts by one page; any other column
+    is returned as it is.
+    """
+    if isinstance(col, _Cells):
+        return col
+    if isinstance(col, Coded):
+        texts = [prefix + (_json_escape(t) if json else t) for t in col.texts]
+        return _Cells(np.array(texts, dtype=object), col.codes)
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        # sorted bits and a binary search: np.unique(return_inverse=True)
+        # would hold six row-long arrays at once.  Two pages that already
+        # hold more than a page of distinct doubles settle a long column
+        # (a spectrum) without a sorted copy of all of it.
+        bits = col.view(np.uint64)
+        distinct = _distinct(bits[: 2 * _PAGE_ROWS])
+        if distinct is not None and len(bits) > 2 * _PAGE_ROWS:
+            distinct = _distinct(bits)
+        if distinct is not None:
+            texts = [prefix + format(v, ".17g") for v in distinct.view(np.float64).tolist()]
+            return _Cells(np.array(texts, dtype=object), np.searchsorted(distinct, bits))
+    return col
 
 
 def _format_column(col, json: bool, prefix: str = "") -> list[str]:
-    """prefix + the text of each cell of one column, by the column's kind.
+    """prefix + the text of each cell of one column of at most a page, by the column's kind.
 
-    A float64 array is deduplicated on its bits, so -0.0 and 0.0 keep
-    their own texts, and each distinct double is formatted once.  An
-    integer array (register labels, all distinct) is formatted cell by
-    cell.  A Coded column formats, and in JSON escapes, each text its
-    cells use once.  Anything else (the short plain lists of the field,
-    trial, sweep and branch sections, a one-cell object label) is
-    formatted cell by cell.
+    A column that _coded codes gathers its texts; an integer array
+    (register labels, all distinct) is formatted cell by cell, and so is
+    anything else (the short plain lists of the field, trial, sweep and
+    branch sections, a one-cell object label).
     """
-    if isinstance(col, Coded):
-        texts = col.texts
-        return _gather(col.codes, lambda used: [
-            prefix + (_json_escape(texts[c]) if json else texts[c]) for c in used.tolist()
-        ])
-    if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        return _gather(col.view(np.uint64), lambda bits: [
-            prefix + format(v, ".17g") for v in bits.view(np.float64).tolist()
-        ])
+    col = _coded(col, json, prefix)
+    if isinstance(col, _Cells):
+        return col.texts[col.codes].tolist()
     if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
         return [prefix + text for text in map(str, col.tolist())]
     return [prefix + _format_cell(v, json) for v in col]
 
 
+def _leads(sec: Section, json: bool) -> list[str]:
+    """What each column's cells lead with: in JSON the escaped key, in CSV nothing."""
+    return [f"{_json_escape(key)}: " if json else "" for key in sec.header]
+
+
+def _coded_columns(sec: Section, json: bool) -> list:
+    """The section's columns, each through _coded with its lead."""
+    return [_coded(col, json, lead) for col, lead in zip(sec.columns, _leads(sec, json))]
+
+
 def _columns(sec: Section, json: bool) -> list[list[str]]:
-    """The section's cells column by column; a JSON cell leads with its escaped key."""
-    return [
-        _format_column(col, json, f"{_json_escape(key)}: " if json else "")
-        for key, col in zip(sec.header, sec.columns)
-    ]
+    """The section's cells column by column."""
+    return [_format_column(col, json, lead) for col, lead in zip(sec.columns, _leads(sec, json))]
 
 
 def _json_pairs(items) -> str:
@@ -351,8 +390,10 @@ def _pages(sections: list[Section]) -> list[list[Section]]:
 
 def emit(cfg: RunConfig, sections: list[Section]) -> None:
     """Render the report into the output file or stdout, one page at a time."""
-    render = render_csv if cfg.format == "csv" else render_json
-    pages = _pages(sections)
+    json = cfg.format == "json"
+    render = render_json if json else render_csv
+    # code each column once per report, so a page only gathers its texts
+    pages = _pages([replace(sec, columns=_coded_columns(sec, json)) for sec in sections])
     texts = (render(cfg, page, i == 0, i == len(pages) - 1) for i, page in enumerate(pages))
     if cfg.output:
         try:
@@ -671,52 +712,85 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # entry point
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gausshor",
-        description="Gauss-sum factoring simulator: tables, distributions, drivers",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# every subcommand's help line and flags, each flag a RunConfig key (or
+# config) with its help line; the first five are common to all
+_COMMON = {
+    "n": "number under test (sweep: comma-separated list)",
+    "seed": "64-bit seed for all sampling",
+    "format": "csv | json",
+    "output": "write to this path instead of stdout",
+    "config": "key = value config file; flags override it",
+}
+_USAGE = {
+    "gauss-table": ("emit one sum family as a table", {
+        **_COMMON,
+        "kind": "standard | w | truncated | g",
+        "n0": "linear-phase shift for --kind w",
+        "terms": "term count for --kind truncated",
+        "ell": "restrict the table to one trial factor",
+    }),
+    "shor-gauss": ("divisor-signal branch algorithm", {
+        **_COMMON,
+        "q": "register size in bits",
+        "branch": "n | unit | factor<f>: emit that branch's spectrum",
+        "trials": "run the factoring driver this many trials",
+        "allow_small_register": "permit 2**Q <= N**2 (figure-scale demos); takes no value",
+    }),
+    "superposition": ("amplitude-encoded Gauss-sum algorithm", {
+        **_COMMON,
+        "mode": "exact | qubit",
+        "q": "register size in bits (qubit mode)",
+        "n0": "emit the conditional for this B outcome",
+        "report": "all | pb | conditional | purity | success",
+        "trials": "run the factoring driver this many trials",
+    }),
+    "purity": ("measured and closed-form purity for one n", _COMMON),
+    "sweep": ("batch purity/success table over semiprimes", _COMMON),
+}
 
-    def add_common(p):
-        p.add_argument("--n", help="number under test (sweep: comma-separated list)")
-        p.add_argument("--seed", help="64-bit seed for all sampling")
-        p.add_argument("--format", metavar="{csv,json}", help="output format")
-        p.add_argument("--output", help="write to this path instead of stdout")
-        p.add_argument("--config", help="key=value config file; flags override it")
 
-    p = sub.add_parser("gauss-table", help="emit one sum family as a table")
-    add_common(p)
-    p.add_argument("--kind", metavar="{standard,w,truncated,g}")
-    p.add_argument("--n0", help="linear-phase shift for --kind w")
-    p.add_argument("--terms", help="term count for --kind truncated")
-    p.add_argument("--ell", help="restrict the table to one trial factor")
+def _help(command: str | None) -> str:
+    """The command list, or one subcommand's flags, each with its help line."""
+    if command is None:
+        head = "usage: gausshor <command> [--key value ...]\n\n" \
+            "Gauss-sum factoring simulator: tables, distributions, drivers\n\ncommands:"
+        rows = [(name, text) for name, (text, _) in _USAGE.items()]
+    else:
+        text, flags = _USAGE[command]
+        head = f"usage: gausshor {command} [--key value ...]\n\n{text}\n\nflags:"
+        rows = [("--" + key.replace("_", "-"), line) for key, line in flags.items()]
+    width = max(len(name) for name, _ in rows) + 2
+    return head + "".join(f"\n  {name:<{width}}{line}" for name, line in rows)
 
-    p = sub.add_parser("shor-gauss", help="divisor-signal branch algorithm")
-    add_common(p)
-    p.add_argument("--q", help="register size in bits")
-    p.add_argument("--branch", help="n | unit | factor<f>: emit that branch's spectrum")
-    p.add_argument("--trials", help="run the factoring driver this many trials")
-    p.add_argument(
-        "--allow-small-register", action="store_const", const="true",
-        help="permit 2**Q <= N**2 (figure-scale demos)",
-    )
 
-    p = sub.add_parser("superposition", help="amplitude-encoded Gauss-sum algorithm")
-    add_common(p)
-    p.add_argument("--mode", metavar="{exact,qubit}")
-    p.add_argument("--q", help="register size in bits (qubit mode)")
-    p.add_argument("--n0", help="emit the conditional for this B outcome")
-    p.add_argument("--report", metavar="{all,pb,conditional,purity,success}")
-    p.add_argument("--trials", help="run the factoring driver this many trials")
+def parse_args(argv: list[str]) -> tuple[str, dict[str, str]]:
+    """The command of a command line and its flags as {key: raw text}.
 
-    p = sub.add_parser("purity", help="measured and closed-form purity for one n")
-    add_common(p)
-
-    p = sub.add_parser("sweep", help="batch purity/success table over semiprimes")
-    add_common(p)
-    return parser
+    A flag is --key value or --key=value, its dashes read as underscores;
+    a value may not start with --, and a switch (a bool key) takes none.
+    """
+    if not argv or argv[0] not in _USAGE:
+        what = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise InputError(f"{what}; choose one of {', '.join(_USAGE)}")
+    command, tokens = argv[0], iter(argv[1:])
+    flags = {}
+    for token in tokens:
+        if not token.startswith("--"):
+            raise InputError(f"unexpected argument {token!r}")
+        name, eq, value = token[2:].partition("=")
+        key = name.replace("-", "_")
+        if key not in _USAGE[command][1]:
+            raise InputError(f"{command} takes no flag --{name}")
+        if key != "config" and RunConfig.__dataclass_fields__[key].type == "bool":
+            if eq:
+                raise InputError(f"--{name} takes no value")
+            value = "true"
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise InputError(f"--{name} expects a value")
+        flags[key] = value
+    return command, flags
 
 
 _COMMANDS = {
@@ -729,10 +803,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = merge_config(ns)
-        return _COMMANDS[ns.command](cfg)
+        if "-h" in argv or "--help" in argv:
+            print(_help(argv[0] if argv[0] in _USAGE else None))
+            return 0
+        cfg = merge_config(*parse_args(argv))
+        return _COMMANDS[cfg.command](cfg)
     except (InputError, AmplitudeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

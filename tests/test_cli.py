@@ -22,14 +22,17 @@ from gausshor.cli import (
     Coded,
     RunConfig,
     Section,
+    _Cells,
+    _coded,
     _distribution_section,
     _divisor_notes,
     _json_escape,
+    _USAGE,
     _pages,
-    build_parser,
     emit,
     main,
     merge_config,
+    parse_args,
     render_csv,
     render_json,
 )
@@ -38,10 +41,7 @@ import render_reference
 
 
 def run_main(*args, capsys=None):
-    try:
-        rc = main(list(args))
-    except SystemExit as exc:  # argparse's own rejections
-        rc = exc.code
+    rc = main(list(args))  # a rejected command line returns 2 like any invalid input
     out, err = capsys.readouterr() if capsys else ("", "")
     return rc, out, err
 
@@ -119,18 +119,20 @@ def test_superposition_runs_leave_numpy_ma_unimported():
         assert cp.stdout == "0 False\n", (args, cp.stderr)
 
 
-def test_sampling_runs_leave_numpy_random_unimported():
-    # the trial streams are pure Python, so no sampling run pays numpy.random's import
-    probe = "import sys, numpy; print('numpy.random' in sys.modules)"
+@pytest.mark.parametrize("module", ["numpy.random", "argparse", "locale"])
+def test_sampling_runs_leave_module_unimported(module):
+    # the trial streams are pure Python and the flags are read from one table,
+    # so no sampling run pays numpy.random's import, argparse's or its locale's
+    probe = f"import sys, numpy; print({module!r} in sys.modules)"
     cp = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     if cp.stdout.strip() == "True":
-        pytest.skip("import numpy alone loads numpy.random")
+        pytest.skip(f"import numpy alone loads {module}")
     code = (
         "import contextlib, io, sys\n"
         "from gausshor.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = main(sys.argv[1:])\n"
-        "print(rc, 'numpy.random' in sys.modules)\n"
+        "    rc = main(sys.argv[2:])\n"
+        "print(rc, sys.argv[1] in sys.modules)\n"
     )
     for args in (
         ["shor-gauss", "--n", "35", "--q", "11", "--trials", "25", "--seed", "1"],
@@ -138,12 +140,62 @@ def test_sampling_runs_leave_numpy_random_unimported():
          "--trials", "100", "--seed", "1"],
     ):
         cp = subprocess.run(
-            [sys.executable, "-c", code, *args],
+            [sys.executable, "-c", code, module, *args],
             capture_output=True,
             text=True,
             env=child_env(),
         )
         assert cp.stdout == "0 False\n", (args, cp.stderr)
+
+
+_SUBCOMMANDS = ["gauss-table", "shor-gauss", "superposition", "purity", "sweep"]
+_CHOOSE = "choose one of " + ", ".join(_SUBCOMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], f"no command given; {_CHOOSE}"),
+        (["frob"], f"unknown command 'frob'; {_CHOOSE}"),
+        (["shor-gauss", "--n", "35", "--bogus", "1"], "shor-gauss takes no flag --bogus"),
+        (["purity", "--n", "91", "--trials", "3"], "purity takes no flag --trials"),
+        (["shor-gauss", "--n"], "--n expects a value"),
+        (["shor-gauss", "--n", "--q", "11"], "--n expects a value"),
+        (["superposition", "35"], "unexpected argument '35'"),
+        (["gauss-table", "--n", "35", "--allow-small-register"],
+         "gauss-table takes no flag --allow-small-register"),
+        (["shor-gauss", "--n", "35", "--allow-small-register=yes"],
+         "--allow-small-register takes no value"),
+    ],
+    ids=["no-command", "unknown-command", "unknown-flag", "flag-of-another-command",
+         "value-missing-at-end", "value-missing-before-flag", "positional", "switch-elsewhere",
+         "switch-with-value"],
+)
+def test_rejected_command_line_exits_2_with_one_line(capsys, argv, message):
+    assert run_main(*argv, capsys=capsys) == (2, "", f"error: {message}\n")
+
+
+def test_key_equals_value_reads_as_key_then_value(capsys):
+    spaced = run_main("superposition", "--n", "91", "--n0", "-5", "--report", "conditional",
+                      capsys=capsys)
+    joined = run_main("superposition", "--n=91", "--n0=-5", "--report=conditional",
+                      capsys=capsys)
+    assert joined == spaced
+    assert run_main("superposition", "--n", "35", "--trials", "3", capsys=capsys) == run_main(
+        "superposition", "--n=35", "--trials=3", capsys=capsys
+    )
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([cmd, "-h"] for cmd in _SUBCOMMANDS)],
+                         ids=["commands", *_SUBCOMMANDS])
+def test_help_lists_the_table(capsys, argv):
+    rc, out, err = run_main(*argv, capsys=capsys)
+    assert (rc, err) == (0, "")
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+    if argv[0] == "--help":
+        assert listed == _SUBCOMMANDS
+    else:
+        assert listed == ["--" + key.replace("_", "-") for key in _USAGE[argv[0]][1]]
 
 
 def test_gauss_table_g_rows_and_annotations(capsys):
@@ -711,6 +763,21 @@ def _typed_table(draw):
     return columns, rows
 
 
+def _distinct_floats_table(count: int):
+    """A typed table whose float64 column holds count distinct doubles, each twice.
+
+    Both zeros are among them, so the coding must keep -0.0 apart from 0.0.
+    The last value comes last, so with count one past the page size the
+    first two pages hold only a page of distinct doubles and the rest of
+    the column decides.
+    """
+    values = [0.0, -0.0] + [1 / k for k in range(3, count + 1)]
+    floats = values[:-1] * 2 + values[-1:] * 2
+    texts = ('"', "\\")
+    columns = [np.arange(len(floats)), np.array(floats), Coded(texts, np.arange(len(floats)) % 2)]
+    return columns, [(i, x, texts[i % 2]) for i, x in enumerate(floats)]
+
+
 @pytest.mark.parametrize("page_rows", [1, 3, 1024])
 @settings(max_examples=60, deadline=None)
 @given(table=_typed_table(), shift=st.integers(0, 5))
@@ -718,6 +785,12 @@ def _typed_table(draw):
                  Coded(('"', "\\", "\x00"), np.array([2, 1, 0, 1]))],
                 [(0, 0.0, "\x00"), (1, -0.0, "\\"), (2, -0.0, '"'), (3, 0.0, "\\")]),
          shift=0)
+# float columns of one page of distinct doubles (coded once per report) and
+# of one more (coded page by page), at 3 and at 1,024 rows per page
+@example(table=_distinct_floats_table(3), shift=1)
+@example(table=_distinct_floats_table(4), shift=1)
+@example(table=_distinct_floats_table(1024), shift=1)
+@example(table=_distinct_floats_table(1025), shift=1)
 def test_typed_columns_render_as_the_per_cell_reference(page_rows, table, shift):
     # a plain-list section of `shift` rows first moves where pages cut the typed one
     columns, rows = table
@@ -732,6 +805,14 @@ def test_typed_columns_render_as_the_per_cell_reference(page_rows, table, shift)
             emit(cfg, sections)
         render = render_reference.render_csv if fmt == "csv" else render_reference.render_json
         assert out.getvalue() == render(cfg.echo_items(), reference), fmt
+
+
+@pytest.mark.parametrize("count, once", [(1024, True), (1025, False)])
+def test_float_column_coded_once_per_report_up_to_a_page(count, once):
+    # the rule bounds a report's float texts by one page; the bytes are the
+    # same on both sides, so only this check sees where it cuts
+    floats = _distinct_floats_table(count)[0][1]
+    assert isinstance(_coded(floats, True, '"p": '), _Cells) is once
 
 
 def _divisor_note(n: int, label: int) -> str:
@@ -788,7 +869,7 @@ def test_readme_reports_match_the_per_cell_reference(capsys, fmt, args, sections
     argv = args.split() + ["--format", fmt]
     rc, out, _ = run_main(*argv, capsys=capsys)
     assert rc == 0
-    items = merge_config(build_parser().parse_args(argv)).echo_items()
+    items = merge_config(*parse_args(argv)).echo_items()
     render = render_reference.render_csv if fmt == "csv" else render_reference.render_json
     assert out == render(items, sections())
 

@@ -681,6 +681,31 @@ def test_success_probability_closed_form(n, expected):
     assert abs(total - float(expected)) <= 1e-12
 
 
+# the success law of the exact driver, gated on its outcomes and not on how a
+# draw is made; the seeds and sample sizes were fixed before the first run
+SUCCESS_LAW_NS = (91, 221, 1147)
+
+
+@pytest.mark.parametrize("n", SUCCESS_LAW_NS)
+def test_exact_driver_budget_one_success_frequency(n):
+    """Budget-1 runs over seeds 0..2999 succeed at P* within 4.5 sigma."""
+    run, seeds = run_exact(n), range(3000)
+    p = float(success_probability(run.s))
+    freq = sum(sample_factor_driver(run, 1, seed).succeeded for seed in seeds) / len(seeds)
+    assert abs(freq - p) <= 4.5 * math.sqrt(p * (1 - p) / len(seeds))
+
+
+@pytest.mark.parametrize("n", SUCCESS_LAW_NS)
+def test_exact_driver_mean_trials_to_success(n):
+    """Trials to success are geometric: over seeds 0..999 their mean is 1/P* within 4.5 sigma."""
+    run, seeds = run_exact(n), range(1000)
+    p = float(success_probability(run.s))
+    results = [sample_factor_driver(run, 10**6, seed) for seed in seeds]  # no budget binds
+    assert all(r.succeeded for r in results)
+    mean = sum(r.trials_run for r in results) / len(seeds)
+    assert abs(mean - 1 / p) <= 4.5 * math.sqrt((1 - p) / p**2 / len(seeds))
+
+
 # the moduli of the benchmark's sweep
 SWEEP_NS = (15, 21, 35, 91, 221, 899, 1147, 1763)
 
