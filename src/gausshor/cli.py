@@ -9,16 +9,14 @@ floats are rendered with 17 significant digits in both, so files re-parse
 to the same doubles and repeated runs with one seed are byte-identical.
 A section holds its table as typed columns.  A report is rendered and
 written in pages of at most 1,024 rows, a longer table in slices of its
-columns, so no command holds the whole text of a long report.  Before
-paging, each column is coded once per report where that holds at most a
-page of texts: a Coded annotation column, and a float64 column of at most
-a page of distinct bit patterns (so -0.0 and 0.0 keep their own texts),
-become their distinct final cell texts, key prefix and escaping done,
-and one code per row, so a page only gathers texts.  A float64 column
-with more distinct values is coded page by page; integer labels and
-short plain lists are formatted cell by cell.  A distribution section
-has one row per register label, in label order, zero-probability labels
-included, so its rows do not depend on whether rounding leaves an
+columns, so no command holds the whole text of a long report.  emit
+prepares each column once per report: a Coded annotation column, and a
+float64 column of at most a page of distinct bit patterns (so -0.0 and
+0.0 keep their own texts), become their distinct final cell texts and
+one code per row.  Any other column, a spectrum, integer labels or a
+short plain list, is formatted cell by cell on its page.  A distribution
+section has one row per register label, in label order, zero-probability
+labels included, so its rows do not depend on whether rounding leaves an
 analytic zero at 0.0 or at 1e-35.
 
 Exit codes: 0 success (and --help), 1 driver exhausted its trial budget,
@@ -143,6 +141,9 @@ def merge_config(command: str, flags: dict[str, str]) -> RunConfig:
     for key in file_vals:
         if key not in keys:
             raise InputError(f"{path}: unknown key {key!r}")
+    for key in ("config", "output"):  # an empty path names no file
+        if {**file_vals, **flags}.get(key) == "":
+            raise InputError(f"--{key} expects a path, got ''")
     cfg = RunConfig(command=command)
     for key in keys:
         value = flags.get(key, file_vals.get(key))
@@ -196,10 +197,7 @@ class Coded:
 
 
 class _Cells(Coded):
-    """A Coded column of final cell texts, key prefix and JSON escaping done.
-
-    Its texts are an object array, so a page gathers its cells in one take.
-    """
+    """A Coded column of final cell texts in an object array, prefixed and escaped by emit."""
 
 
 @dataclass
@@ -254,13 +252,14 @@ def _json_escape(s: str) -> str:
     return '"' + _JSON_SPECIAL.sub(_escape_char, s) + '"'
 
 
+_float_text = "{:.17g}".format  # a double's text in both formats; it re-parses to the same bits
+
+
 def _format_cell(v, json: bool) -> str:
-    # floats go through one .17g path in both formats, so CSV and JSON
-    # carry identical numeric content
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
+        return _float_text(float(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if v is None:
@@ -279,29 +278,27 @@ def _distinct(bits: np.ndarray):
 
 
 def _coded(col, json: bool, prefix: str):
-    """The column as _Cells, each distinct text made once and led by prefix, or col itself.
+    """The whole column as _Cells, each distinct text made once and led by prefix, or col itself.
 
-    A Coded column is always coded.  A float64 column is coded on its bits,
-    so -0.0 and 0.0 keep their own texts, if it holds at most _PAGE_ROWS
-    distinct doubles, which bounds its texts by one page; any other column
-    is returned as it is.
+    emit calls this once per column of a report.  A Coded column is always
+    coded.  A float64 column is coded on its bits, so -0.0 and 0.0 keep
+    their own texts, if it holds at most _PAGE_ROWS distinct doubles, which
+    bounds its texts by one page; any other column is returned as it is,
+    and each page formats its own cells.
     """
-    if isinstance(col, _Cells):
-        return col
     if isinstance(col, Coded):
-        texts = [prefix + (_json_escape(t) if json else t) for t in col.texts]
+        texts = [prefix + _format_cell(t, json) for t in col.texts]
         return _Cells(np.array(texts, dtype=object), col.codes)
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
         # sorted bits and a binary search: np.unique(return_inverse=True)
-        # would hold six row-long arrays at once.  Two pages that already
-        # hold more than a page of distinct doubles settle a long column
-        # (a spectrum) without a sorted copy of all of it.
+        # would hold six row-long arrays at once.  Two pages of more than a
+        # page of distinct doubles settle a spectrum without sorting it all.
         bits = col.view(np.uint64)
         distinct = _distinct(bits[: 2 * _PAGE_ROWS])
         if distinct is not None and len(bits) > 2 * _PAGE_ROWS:
             distinct = _distinct(bits)
         if distinct is not None:
-            texts = [prefix + format(v, ".17g") for v in distinct.view(np.float64).tolist()]
+            texts = [prefix + t for t in map(_float_text, distinct.view(np.float64).tolist())]
             return _Cells(np.array(texts, dtype=object), np.searchsorted(distinct, bits))
     return col
 
@@ -309,27 +306,23 @@ def _coded(col, json: bool, prefix: str):
 def _format_column(col, json: bool, prefix: str = "") -> list[str]:
     """prefix + the text of each cell of one column of at most a page, by the column's kind.
 
-    A column that _coded codes gathers its texts; an integer array
-    (register labels, all distinct) is formatted cell by cell, and so is
-    anything else (the short plain lists of the field, trial, sweep and
-    branch sections, a one-cell object label).
+    A column that emit prepared gathers its texts; any other is formatted
+    cell by cell: a float64 array (a spectrum) by _float_text, an integer
+    or object array (labels) by str, anything else by _format_cell.
     """
-    col = _coded(col, json, prefix)
     if isinstance(col, _Cells):
         return col.texts[col.codes].tolist()
-    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
-        return [prefix + text for text in map(str, col.tolist())]
+    if isinstance(col, Coded):
+        return [prefix + _format_cell(col.texts[c], json) for c in col.codes.tolist()]
+    if isinstance(col, np.ndarray):
+        text = _float_text if col.dtype == np.float64 else str
+        return [prefix + t for t in map(text, col.tolist())]
     return [prefix + _format_cell(v, json) for v in col]
 
 
 def _leads(sec: Section, json: bool) -> list[str]:
     """What each column's cells lead with: in JSON the escaped key, in CSV nothing."""
     return [f"{_json_escape(key)}: " if json else "" for key in sec.header]
-
-
-def _coded_columns(sec: Section, json: bool) -> list:
-    """The section's columns, each through _coded with its lead."""
-    return [_coded(col, json, lead) for col, lead in zip(sec.columns, _leads(sec, json))]
 
 
 def _columns(sec: Section, json: bool) -> list[list[str]]:
@@ -392,8 +385,13 @@ def emit(cfg: RunConfig, sections: list[Section]) -> None:
     """Render the report into the output file or stdout, one page at a time."""
     json = cfg.format == "json"
     render = render_json if json else render_csv
-    # code each column once per report, so a page only gathers its texts
-    pages = _pages([replace(sec, columns=_coded_columns(sec, json)) for sec in sections])
+    # prepare each column once per report: a page gathers the texts of a
+    # prepared column and formats only the cells of a column left raw
+    prepared = []
+    for sec in sections:
+        columns = [_coded(col, json, lead) for col, lead in zip(sec.columns, _leads(sec, json))]
+        prepared.append(replace(sec, columns=columns))
+    pages = _pages(prepared)
     texts = (render(cfg, page, i == 0, i == len(pages) - 1) for i, page in enumerate(pages))
     if cfg.output:
         try:
@@ -602,7 +600,7 @@ def _purity_report(run, **lead) -> tuple[Section, str]:
     ]
     return (
         Section("purity", header=("field", "value"), columns=columns),
-        f"purity={format(measured, '.17g')} closed={closed_text}",
+        f"purity={_float_text(measured)} closed={closed_text}",
     )
 
 
@@ -713,10 +711,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 # every subcommand's help line and flags, each flag a RunConfig key (or
-# config) with its help line; the first five are common to all
+# config) with its help line; the first four are common to all
 _COMMON = {
     "n": "number under test (sweep: comma-separated list)",
-    "seed": "64-bit seed for all sampling",
     "format": "csv | json",
     "output": "write to this path instead of stdout",
     "config": "key = value config file; flags override it",
@@ -734,6 +731,7 @@ _USAGE = {
         "q": "register size in bits",
         "branch": "n | unit | factor<f>: emit that branch's spectrum",
         "trials": "run the factoring driver this many trials",
+        "seed": "64-bit seed for all sampling",
         "allow_small_register": "permit 2**Q <= N**2 (figure-scale demos); takes no value",
     }),
     "superposition": ("amplitude-encoded Gauss-sum algorithm", {
@@ -743,6 +741,7 @@ _USAGE = {
         "n0": "emit the conditional for this B outcome",
         "report": "all | pb | conditional | purity | success",
         "trials": "run the factoring driver this many trials",
+        "seed": "64-bit seed for all sampling",
     }),
     "purity": ("measured and closed-form purity for one n", _COMMON),
     "sweep": ("batch purity/success table over semiprimes", _COMMON),

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gausshor
-from gausshor import superposition
+from gausshor import cli, superposition
 from gausshor.cli import (
     Coded,
     RunConfig,
@@ -166,10 +166,14 @@ _CHOOSE = "choose one of " + ", ".join(_SUBCOMMANDS)
          "gauss-table takes no flag --allow-small-register"),
         (["shor-gauss", "--n", "35", "--allow-small-register=yes"],
          "--allow-small-register takes no value"),
+        # only the two commands that draw take a seed
+        (["gauss-table", "--n", "35", "--seed", "5"], "gauss-table takes no flag --seed"),
+        (["purity", "--n", "91", "--seed", "5"], "purity takes no flag --seed"),
+        (["sweep", "--n", "15,21", "--seed=5"], "sweep takes no flag --seed"),
     ],
     ids=["no-command", "unknown-command", "unknown-flag", "flag-of-another-command",
          "value-missing-at-end", "value-missing-before-flag", "positional", "switch-elsewhere",
-         "switch-with-value"],
+         "switch-with-value", "seed-gauss-table", "seed-purity", "seed-sweep"],
 )
 def test_rejected_command_line_exits_2_with_one_line(capsys, argv, message):
     assert run_main(*argv, capsys=capsys) == (2, "", f"error: {message}\n")
@@ -431,16 +435,31 @@ def test_negative_trials_exit_2(tmp_path, capsys, args):
         (("purity", "--n", "21"), "format", "xml", "--format must be csv or json, got 'xml'"),
         (("gauss-table", "--n", "42"), "kind", "zz",
          "--kind must be one of standard|w|truncated|g, got 'zz'"),
+        # an empty path names no file: the report is not sent to stdout instead
+        (("shor-gauss", "--n", "35", "--q", "11", "--trials", "2"), "output", "",
+         "--output expects a path, got ''"),
     ],
-    ids=["q", "seed", "mode", "report", "format", "kind"],
+    ids=["q", "seed", "mode", "report", "format", "kind", "empty-output"],
 )
 def test_bad_value_same_one_line_from_flag_and_config(tmp_path, capsys, args, key, value, message):
     rc, out, err = run_main(*args, f"--{key}", value, capsys=capsys)
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert run_main(*args, f"--{key}={value}", capsys=capsys) == (rc, out, err)
     conf = tmp_path / "run.conf"
     conf.write_text(f"{key} = {value}\n")
     rc, out, err = run_main(*args, "--config", str(conf), capsys=capsys)
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_empty_config_path_exits_2(tmp_path, capsys):
+    args = ("shor-gauss", "--n", "35", "--q", "11", "--trials", "2")
+    for flag in (["--config", ""], ["--config="]):
+        assert run_main(*args, *flag, capsys=capsys) == (
+            2, "", "error: --config expects a path, got ''\n")
+    conf = tmp_path / "run.conf"  # config is no key of a config file, empty or not
+    conf.write_text("config =\n")
+    assert run_main(*args, "--config", str(conf), capsys=capsys) == (
+        2, "", f"error: {conf}: unknown key 'config'\n")
 
 
 @pytest.mark.parametrize(
@@ -805,6 +824,31 @@ def test_typed_columns_render_as_the_per_cell_reference(page_rows, table, shift)
             emit(cfg, sections)
         render = render_reference.render_csv if fmt == "csv" else render_reference.render_json
         assert out.getvalue() == render(cfg.echo_items(), reference), fmt
+        # a renderer handed the columns unprepared, not through emit, formats each cell
+        direct = render_csv if fmt == "csv" else render_json
+        assert direct(cfg, sections) == out.getvalue(), fmt
+
+
+def test_emit_sorts_a_long_float_column_only_in_its_probe(monkeypatch):
+    # three pages of 3,072 distinct doubles: emit's two-page probe finds more
+    # than a page of them and leaves the column raw, and no page sorts its slice
+    floats = np.arange(3 * 1024) / 7.0
+    reference = [("spectrum", [], ("probability",), [(x,) for x in floats.tolist()])]
+    sorted_lengths = []
+
+    def counted(bits, real=cli._distinct):
+        sorted_lengths.append(len(bits))
+        return real(bits)
+
+    monkeypatch.setattr(cli, "_distinct", counted)
+    for fmt in ("csv", "json"):
+        cfg = RunConfig(command="shor-gauss", format=fmt)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            emit(cfg, [Section(*reference[0][:3], [floats])])
+        render = render_reference.render_csv if fmt == "csv" else render_reference.render_json
+        assert out.getvalue() == render(cfg.echo_items(), reference), fmt
+    assert sorted_lengths == [2 * 1024, 2 * 1024]  # one probe per emit
 
 
 @pytest.mark.parametrize("count, once", [(1024, True), (1025, False)])

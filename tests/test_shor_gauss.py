@@ -471,3 +471,44 @@ def test_lower_cap_applies_to_warm_tables(monkeypatch):
         run_trial(s, 11, trial_rng(0, 0))
     with pytest.raises(AmplitudeCapError):
         factor_driver(35, 11, 0, 0)
+
+
+def _branch_success_probability(n: int, q_bits: int) -> float:
+    """P that one driver trial reports a factor.
+
+    A factor label succeeds at once; a unit label succeeds when its Fourier
+    bin m >= 1 reads as a denominator that shares a factor with N.
+    """
+    s = factor_semiprime(n)
+    branches = branch_probs(s, q_bits)
+    factor = sum(b.probability for b in branches if b.kind is BranchKind.CASE_FACTOR)
+    unit = next(b.probability for b in branches if b.kind is BranchKind.CASE_UNIT)
+    spectrum = qft_distribution(s, q_bits, 1).probs
+    useful = math.fsum(
+        spectrum[m] for m in range(1, 1 << q_bits)
+        if math.gcd(recover_divisor(m, q_bits, n).denominator, n) not in (1, n)
+    )
+    return float(factor) + float(unit) * useful
+
+
+# the success law of the branch driver, gated on its outcomes and not on how a
+# draw is made; the seeds and sample sizes were fixed before the first run
+BRANCH_SUCCESS_LAW_SIZES = [(35, 11), (91, 14)]
+
+
+@pytest.mark.parametrize("n, q_bits", BRANCH_SUCCESS_LAW_SIZES)
+def test_factor_driver_budget_one_success_frequency(n, q_bits):
+    """Budget-1 runs over seeds 0..2999 succeed at P within 4.5 sigma."""
+    p, seeds = _branch_success_probability(n, q_bits), range(3000)
+    freq = sum(factor_driver(n, q_bits, 1, seed).succeeded for seed in seeds) / len(seeds)
+    assert abs(freq - p) <= 4.5 * math.sqrt(p * (1 - p) / len(seeds))
+
+
+@pytest.mark.parametrize("n, q_bits", BRANCH_SUCCESS_LAW_SIZES)
+def test_factor_driver_mean_trials_to_success(n, q_bits):
+    """Trials to success are geometric: over seeds 0..999 their mean is 1/P within 4.5 sigma."""
+    p, seeds = _branch_success_probability(n, q_bits), range(1000)
+    results = [factor_driver(n, q_bits, 10**6, seed) for seed in seeds]  # no budget binds
+    assert all(r.succeeded for r in results)
+    mean = sum(r.trials_run for r in results) / len(seeds)
+    assert abs(mean - 1 / p) <= 4.5 * math.sqrt((1 - p) / p**2 / len(seeds))
