@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from . import shor_gauss, superposition
 from .kernels import eval_G, eval_truncated, eval_W, g_of
 from .numtheory import Semiprime, factor_semiprime
-from .states import AmplitudeCapError, Distribution, purity_closed
+from .states import AmplitudeCapError, Distribution, amplitude_cap, purity_closed
 
 SCHEMA_VERSION = 1
 
@@ -56,8 +55,15 @@ def _over_denominator(fr: Fraction, den: int) -> str:
 # configuration
 
 
-@dataclass
 class RunConfig:
+    """One command's settings.
+
+    The annotated class attributes are the one table of keys: each key's
+    annotation text is its type and its class value its default.  Every
+    key but the command is a config-file key, and a flag where _USAGE
+    lists it.
+    """
+
     command: str
     n: str | None = None
     q: int | None = None
@@ -74,9 +80,16 @@ class RunConfig:
     output: str | None = None
     allow_small_register: bool = False
 
+    def __init__(self, command: str, **values):
+        unknown = values.keys() - RunConfig.__annotations__
+        if unknown:
+            raise TypeError(f"RunConfig has no key {min(unknown)!r}")
+        self.command = command
+        vars(self).update(values)
+
     def echo_items(self) -> list[tuple[str, str]]:
         items = []
-        for key in sorted(self.__dataclass_fields__):
+        for key in sorted(RunConfig.__annotations__):
             if key == "output":  # path is not content; keep files comparable
                 continue
             val = getattr(self, key)
@@ -122,8 +135,8 @@ def _to_bool(key: str, raw: str) -> bool:
 
 
 def _from_text(key: str, raw: str):
-    """A flag or config-file value as the type of RunConfig's field key (its annotation text)."""
-    kind = RunConfig.__dataclass_fields__[key].type
+    """A flag or config-file value as the type of RunConfig's key (its annotation text)."""
+    kind = RunConfig.__annotations__[key]
     if kind == "bool":
         return _to_bool(key, raw)
     return _to_int(key, raw) if kind.startswith("int") else raw
@@ -132,10 +145,10 @@ def _from_text(key: str, raw: str):
 def merge_config(command: str, flags: dict[str, str]) -> RunConfig:
     """Resolve flags ({key: raw text}) over config-file values over defaults.
 
-    Every RunConfig field but the command is a key of the config file,
+    Every RunConfig key but the command is a key of the config file,
     whatever the subcommand; a config-file key outside that set is rejected.
     """
-    keys = [key for key in RunConfig.__dataclass_fields__ if key != "command"]
+    keys = [key for key in RunConfig.__annotations__ if key != "command"]
     path = flags.get("config")
     file_vals = _parse_config_file(path) if path else {}
     for key in file_vals:
@@ -182,25 +195,26 @@ def _reduce_even(n: int) -> int:
 # output rendering
 
 
-@dataclass(frozen=True)
 class Coded:
     """A column of few distinct texts: row i's cell is texts[codes[i]]."""
 
-    texts: tuple[str, ...]
-    codes: np.ndarray
+    __slots__ = ("texts", "codes")
+
+    def __init__(self, texts, codes: np.ndarray):
+        self.texts = texts
+        self.codes = codes
 
     def __len__(self) -> int:
         return len(self.codes)
 
     def __getitem__(self, rows: slice) -> Coded:
-        return replace(self, codes=self.codes[rows])
+        return type(self)(self.texts, self.codes[rows])
 
 
 class _Cells(Coded):
     """A Coded column of final cell texts in an object array, prefixed and escaped by emit."""
 
 
-@dataclass
 class Section:
     """One table of the report, or the slice of it from row ``start`` on.
 
@@ -210,11 +224,14 @@ class Section:
     has no heading.
     """
 
-    name: str
-    attrs: list[tuple[str, str]] = field(default_factory=list)
-    header: tuple[str, ...] = ()
-    columns: list = field(default_factory=list)
-    start: int = 0
+    __slots__ = ("name", "attrs", "header", "columns", "start")
+
+    def __init__(self, name: str, attrs=(), header: tuple[str, ...] = (), columns=(), start=0):
+        self.name = name
+        self.attrs = attrs  # (key, value) pairs
+        self.header = header
+        self.columns = columns
+        self.start = start
 
     @property
     def rows(self) -> range:
@@ -367,7 +384,8 @@ def _pages(sections: list[Section]) -> list[list[Section]]:
     for sec in sections:
         if len(sec.rows) > _PAGE_ROWS:
             slices = [
-                replace(sec, columns=[col[i : i + _PAGE_ROWS] for col in sec.columns], start=i)
+                Section(sec.name, sec.attrs, sec.header,
+                        [col[i : i + _PAGE_ROWS] for col in sec.columns], i)
                 for i in range(0, len(sec.rows), _PAGE_ROWS)
             ]
         else:
@@ -390,7 +408,7 @@ def emit(cfg: RunConfig, sections: list[Section]) -> None:
     prepared = []
     for sec in sections:
         columns = [_coded(col, json, lead) for col, lead in zip(sec.columns, _leads(sec, json))]
-        prepared.append(replace(sec, columns=columns))
+        prepared.append(Section(sec.name, sec.attrs, sec.header, columns, sec.start))
     pages = _pages(prepared)
     texts = (render(cfg, page, i == 0, i == len(pages) - 1) for i, page in enumerate(pages))
     if cfg.output:
@@ -442,16 +460,11 @@ def _label_notes(notes: dict[int, str]):
     return annotate
 
 
-def _distribution_section(
-    name: str,
-    dist: Distribution,
-    annotate,
-    attrs: list[tuple[str, str]] | None = None,
-) -> Section:
+def _distribution_section(name: str, dist: Distribution, annotate, attrs=()) -> Section:
     """One row per register label: the label, its probability and its note."""
     labels = np.arange(len(dist.probs))
     header = ("label", "probability", "annotation")
-    return Section(name, attrs or [], header, [labels, dist.probs, annotate(labels)])
+    return Section(name, attrs, header, [labels, dist.probs, annotate(labels)])
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +485,13 @@ def cmd_gauss_table(cfg: RunConfig) -> int:
     n = _reduce_even(_require_n(cfg))
     value_of = kinds[kind]
     start = 0 if kind == "w" else 1
-    ells = range(start, n + start) if cfg.ell is None else [cfg.ell]
+    if cfg.ell is None:
+        cap = amplitude_cap()  # a full table holds n values, like a state of n amplitudes
+        if n > cap:
+            raise InputError(f"a table of {n} rows exceeds cap {cap}; pick one row with --ell")
+        ells = range(start, n + start)
+    else:
+        ells = [cfg.ell]
     try:
         values = np.array([value_of(ell) for ell in ells])
     except ValueError as exc:
@@ -509,10 +528,10 @@ def _annotate_bins(s: Semiprime, q_bits: int, periods: list[int]):
     return _label_notes(notes)
 
 
-def _field_section(name: str, obj, fields: str, attrs=None) -> Section:
+def _field_section(name: str, obj, fields: str, attrs=()) -> Section:
     """A field,value section holding the named attributes of obj."""
     names = fields.split()
-    return Section(name, attrs or [], ("field", "value"), [names, [getattr(obj, f) for f in names]])
+    return Section(name, attrs, ("field", "value"), [names, [getattr(obj, f) for f in names]])
 
 
 def _driver_sections(result) -> list[Section]:
@@ -783,7 +802,7 @@ def parse_args(argv: list[str]) -> tuple[str, dict[str, str]]:
         key = name.replace("-", "_")
         if key not in _USAGE[command][1]:
             raise InputError(f"{command} takes no flag --{name}")
-        if key != "config" and RunConfig.__dataclass_fields__[key].type == "bool":
+        if key != "config" and RunConfig.__annotations__[key] == "bool":
             if eq:
                 raise InputError(f"--{name} takes no value")
             value = "true"

@@ -9,7 +9,7 @@ register of given size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 FACTOR_CAP = 10**6
 
@@ -31,22 +31,23 @@ class NotSemiprimeError(ValueError):
         super().__init__(f"{n} is not an odd semiprime: {reason}{detail}")
 
 
-@dataclass(frozen=True)
-class Semiprime:
-    """An odd composite n = p * q with two distinct odd prime factors, p < q."""
+class Semiprime(namedtuple("Semiprime", "n p q")):
+    """An odd composite n = p * q with two distinct odd prime factors, p < q.
 
-    n: int
-    p: int
-    q: int
+    Compared and hashed by value, so equal semiprimes share cache entries.
+    """
 
-    def __post_init__(self):
-        if self.p * self.q != self.n:
-            raise ValueError(f"{self.p} * {self.q} != {self.n}")
-        if not (3 <= self.p < self.q):
-            raise ValueError(f"need 3 <= p < q, got p={self.p}, q={self.q}")
-        for f in (self.p, self.q):
+    __slots__ = ()
+
+    def __new__(cls, n: int, p: int, q: int):
+        if p * q != n:
+            raise ValueError(f"{p} * {q} != {n}")
+        if not (3 <= p < q):
+            raise ValueError(f"need 3 <= p < q, got p={p}, q={q}")
+        for f in (p, q):
             if _trial_factorization(f) != [f]:
                 raise ValueError(f"{f} is not prime")
+        return super().__new__(cls, n, p, q)
 
 
 def gcd_conv(a: int, n: int) -> int:

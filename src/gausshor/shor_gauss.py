@@ -18,10 +18,10 @@ continued fractions recovers the period, uniquely so once 2**Q > N**2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ class BranchKind(Enum):
     CASE_UNIT = "unit"
 
 
-@dataclass(frozen=True)
-class BranchOutcome:
+class BranchOutcome(NamedTuple):
     """One of the possible B measurement values with its exact probability."""
 
     kind: BranchKind
@@ -45,8 +44,7 @@ class BranchOutcome:
     probability: Fraction
 
 
-@dataclass(frozen=True)
-class PeakReport:
+class PeakReport(NamedTuple):
     """Where a Fourier comb put its mass relative to a candidate period.
 
     positions are the bins nearest j * 2**Q / period for j = 1 .. period-1
@@ -63,16 +61,14 @@ class PeakReport:
     max_off_structure: float
 
 
-@dataclass(frozen=True)
-class DivisorCandidate:
+class DivisorCandidate(NamedTuple):
     """Continued-fraction readout of a measured Fourier bin."""
 
     denominator: int
     gcd_with_n: int
 
 
-@dataclass(frozen=True)
-class PeakMassBounds:
+class PeakMassBounds(NamedTuple):
     """Analytic lower bounds on peak masses, as exact rationals.
 
     ``factor_*`` entries describe the state after measuring a factor label
@@ -225,23 +221,27 @@ def analyze_peaks(dist: Distribution, period: int, q_bits: int, modulus: int) ->
     )
 
 
-def _modulus_amplitude_floor(s: Semiprime, q_bits: int, cofactors: tuple[int, ...]) -> Fraction:
-    """Lower bound on |X_N - sum_d X_d| at a modulus-comb bin that no d-comb shares.
+def _comb_amplitude_floor(
+    s: Semiprime, q_bits: int, period: int, cofactors: tuple[int, ...], nested: int = 0
+) -> Fraction:
+    """Lower bound on |X_P - sum_d X_d| at a P-comb bin that no d-comb shares, P = period.
 
     X_d is the comb sum over the multiples of d below 2**Q = M; each d here
-    has its cofactor c = N/d in cofactors.  At the bin m nearest a M / N,
-    t = N m - a M has |t| <= N/2, so with K = (M - 1)//N + 1 points,
-    |X_N| = |sin(pi K t / M) / sin(pi t / M)| >= (2/pi)(2M/N - K) by
-    sin(pi x) >= 2 min(x, 1 - x) on [0, 1].  When c does not divide a,
-    d m = a M / c + t / c lies at least (M - N/2)/c from a multiple of M, so
-    |X_d| <= c M / (2M - N).  2/pi > 7/11; the floor is 0 unless 2**Q > N.
+    has its cofactor c = N/d in cofactors.  At the bin m nearest a M / P,
+    t = P m - a M has |t| <= P/2, so with K = (M - 1)//P + 1 points,
+    |X_P| = |sin(pi K t / M) / sin(pi t / M)| >= (2/pi)(2M/P - K) by
+    sin(pi x) >= 2 min(x, 1 - x) on [0, 1].  As no d-comb shares the bin,
+    d a M / P is a nonzero multiple of M / c mod M, so d m lies at least
+    M/c - d/2 = (2M - N)/(2c) from a multiple of M and |X_d| <= c M / (2M - N).
+    A comb that does share the bin is subtracted whole, as nested, its point
+    count.  2/pi > 7/11; the floor is 0 unless 2**Q > N.
     """
     size, n = 1 << q_bits, s.n
     if size <= n:
         return Fraction(0)
-    comb_n = Fraction(2 * size, n) - count_upper(size, n)
+    comb = Fraction(2 * size, period) - count_upper(size, period)
     leak = Fraction(sum(cofactors) * size, 2 * size - n)
-    return max(Fraction(0), Fraction(7, 11) * comb_n - leak)
+    return max(Fraction(0), Fraction(7, 11) * comb - nested - leak)
 
 
 def peak_mass_bounds(s: Semiprime, q_bits: int) -> PeakMassBounds:
@@ -256,14 +256,17 @@ def peak_mass_bounds(s: Semiprime, q_bits: int) -> PeakMassBounds:
 
     and after a unit measurement, with u = N - p - q + 1 coprime points:
 
-        per p-comb bin 0.4 (q-1)^2 / (N u), per q-comb bin 0.4 (p-1)^2 / (N u),
+        p-comb total 0.4 p (q-1)^2 / (N u), q-comb total 0.4 q (p-1)^2 / (N u),
         factor combs total 0.4 (N q + N p + q + p - 4 N) / (N u).
 
-    A modulus-comb bin off the factor combs is bounded with its finite-K and
-    interference terms (_modulus_amplitude_floor): A**2 / (2**Q (K_f - K_N))
-    after a factor measurement, with A the floor against X_f, and
-    A**2 / (2**Q S) after a unit one, with A the floor against X_p and X_q and
-    S the comb's point count.  Both are 0 when 2**Q <= N.
+    A single bin is bounded with its finite-K and interference terms
+    (_comb_amplitude_floor).  After a factor measurement, a modulus-comb bin
+    off the f-comb has A**2 / (2**Q (K_f - K_N)), with A the floor against
+    X_f.  After a unit one, with S the coprime comb's point count, an f-comb
+    bin has A**2 / (2**Q S), with A the floor of X_f against the other
+    prime's comb and the nested N-comb, and a modulus-comb bin off both
+    factor combs has A**2 / (2**Q S), with A the floor against X_p and X_q.
+    All three are 0 when 2**Q <= N.
     """
     n, p, q = s.n, s.p, s.q
     c = Fraction(2, 5)
@@ -275,20 +278,20 @@ def peak_mass_bounds(s: Semiprime, q_bits: int) -> PeakMassBounds:
         factor_peak_per_bin={f: c * (n - f) / (n * f) for f in (p, q)},
         factor_peak_total={f: c * (n - f) / n for f in (p, q)},
         factor_modulus_per_bin={
-            f: _modulus_amplitude_floor(s, q_bits, (n // f,)) ** 2
+            f: _comb_amplitude_floor(s, q_bits, n, (n // f,)) ** 2
             / (size * (counts[f] - counts[n]))
             for f in (p, q)
         },
         factor_modulus_total={f: c * f / n for f in (p, q)},
         unit_peak_per_bin={
-            p: c * (q - 1) ** 2 / (n * unit_count),
-            q: c * (p - 1) ** 2 / (n * unit_count),
+            f: _comb_amplitude_floor(s, q_bits, f, (f,), counts[n]) ** 2 / (size * coprime)
+            for f in (p, q)
         },
         unit_peak_total={
             p: c * p * (q - 1) ** 2 / (n * unit_count),
             q: c * q * (p - 1) ** 2 / (n * unit_count),
         },
-        unit_modulus_per_bin=_modulus_amplitude_floor(s, q_bits, (q, p)) ** 2 / (size * coprime),
+        unit_modulus_per_bin=_comb_amplitude_floor(s, q_bits, n, (q, p)) ** 2 / (size * coprime),
         unit_factor_total=c * (n * q + n * p + q + p - 4 * n) / (n * unit_count),
     )
 
@@ -350,8 +353,7 @@ def _sin_pi(r: int, size: int) -> float:
     return math.sin(math.pi * r / size)
 
 
-@dataclass(frozen=True)
-class _Comb:
+class _Comb(NamedTuple):
     """One comb sum X_d(m) = sum_{k < count} exp(2 pi i k j / 2**Q), j = d m mod 2**Q.
 
     Its envelope e(a) >= |X_d|^2 depends on the folded offset a = min(j, 2**Q - j):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -118,41 +118,39 @@ def quadratic_phase_grid(factor, rows_a: np.ndarray, dim_b: int, n: int) -> np.n
     return grid
 
 
-@dataclass(frozen=True)
-class BipartiteState:
+class BipartiteState(namedtuple("BipartiteState", "dim_a dim_b amps")):
     """Immutable statevector on A x B; amps has shape (dim_a, dim_b)."""
 
-    dim_a: int
-    dim_b: int
-    amps: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim_a < 1 or self.dim_b < 1:
+    def __new__(cls, dim_a: int, dim_b: int, amps: np.ndarray):
+        if dim_a < 1 or dim_b < 1:
             raise ValueError("dimensions must be >= 1")
-        if self.amps.shape != (self.dim_a, self.dim_b):
-            raise ValueError(f"amplitude grid {self.amps.shape} != ({self.dim_a}, {self.dim_b})")
-        check_unit_norm(self.amps)
-        self.amps.setflags(write=False)
+        if amps.shape != (dim_a, dim_b):
+            raise ValueError(f"amplitude grid {amps.shape} != ({dim_a}, {dim_b})")
+        check_unit_norm(amps)
+        amps.setflags(write=False)
+        return super().__new__(cls, dim_a, dim_b, amps)
 
 
-@dataclass(frozen=True)
 class Distribution:
     """Probability vector over register values: outcome k has probability probs[k].
 
     1-d, non-negative, mass 1 within 1e-9, read-only.
     """
 
-    probs: np.ndarray
+    __slots__ = ("probs",)
 
-    def __post_init__(self):
-        if self.probs.ndim != 1:
+    def __init__(self, probs: np.ndarray):
+        if probs.ndim != 1:
             raise ValueError("probs must be a 1-d array")
-        if np.any(self.probs < 0.0):
+        if np.any(probs < 0.0):
             raise ValueError("negative probability")
-        total = float(np.sum(self.probs))
+        total = float(np.sum(probs))
         if not abs(total - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        self.probs.setflags(write=False)
+        probs.setflags(write=False)
+        self.probs = probs
 
 
 def uniform_product(dim_a: int, dim_b: int) -> BipartiteState:

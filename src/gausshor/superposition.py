@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +49,6 @@ _BLOCK_ENTRIES = 1 << 20  # residue rows per block are sized against this
 _CIRCULANCE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class SuperpositionRun:
     """One prepared instance of the algorithm.
 
@@ -58,9 +57,15 @@ class SuperpositionRun:
     pair.  Neither holds a B marginal until pb_probs is first read.
     """
 
-    s: Semiprime
-    q_bits: int | None = None
-    grids: tuple[np.ndarray, np.ndarray] | None = None
+    def __init__(
+        self,
+        s: Semiprime,
+        q_bits: int | None = None,
+        grids: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        self.s = s
+        self.q_bits = q_bits
+        self.grids = grids
 
     @property
     def n(self) -> int:
@@ -76,8 +81,7 @@ class SuperpositionRun:
         return pb_p[k % self.s.p] * pb_q[k % self.s.q]
 
 
-@dataclass(frozen=True)
-class SuccessMass:
+class SuccessMass(NamedTuple):
     """How the B marginal splits into useful and useless outcomes.
 
     Useful outcomes are n0 = 0 and multiples of a factor: exactly the

@@ -12,7 +12,7 @@ never imported.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 _MASK64 = (1 << 64) - 1
 # Philox4x64 round multipliers and Weyl key increments (Random123)
@@ -63,8 +63,7 @@ def trial_rng(seed: int, trial_index: int) -> TrialStream:
     return TrialStream(seed, trial_index)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """What one trial measured and concluded.
 
     outcome_b: the measured B value (a divisor-signal label for the
@@ -81,8 +80,7 @@ class TrialRecord:
     factor: int | None = None
 
 
-@dataclass(frozen=True)
-class DriverResult:
+class DriverResult(NamedTuple):
     """End-to-end verdict of a factoring driver with its seed provenance."""
 
     n: int
@@ -91,7 +89,7 @@ class DriverResult:
     trials_run: int
     max_trials: int
     seed: int
-    records: tuple[TrialRecord, ...] = field(default_factory=tuple)
+    records: tuple[TrialRecord, ...] = ()
 
 
 def drive(

@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -117,6 +119,26 @@ def test_superposition_runs_leave_numpy_ma_unimported():
             env=child_env(),
         )
         assert cp.stdout == "0 False\n", (args, cp.stderr)
+
+
+def test_no_class_is_built_by_dataclasses():
+    # records are NamedTuples or plain classes, so importing the package
+    # runs none of @dataclass's per-class code generation
+    package = Path(gausshor.__file__).parent
+    classes = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for a in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported, path.name
+        if not path.stem.startswith("__"):  # not the package itself, nor __main__, which runs
+            module = importlib.import_module(f"gausshor.{path.stem}")
+            classes += [v for v in vars(module).values()
+                        if isinstance(v, type) and v.__module__ == module.__name__]
+    assert {"Semiprime", "Distribution", "_Comb", "RunConfig"} <= {c.__name__ for c in classes}
+    for cls in classes:
+        assert not hasattr(cls, "__dataclass_fields__"), cls.__qualname__
 
 
 @pytest.mark.parametrize("module", ["numpy.random", "argparse", "locale"])
@@ -272,6 +294,20 @@ def test_gauss_table_negative_ell_exits_2(kind, capsys):
         "gauss-table", "--n", "35", "--kind", kind, "--ell", "-2", capsys=capsys
     )
     assert (rc, out, err) == (2, "", "error: trial factor must be >= 0, got -2\n")
+
+
+def test_full_gauss_table_is_held_to_the_amplitude_cap(monkeypatch, capsys):
+    # a table without --ell holds n values; one --ell row is built at any n
+    monkeypatch.setenv("GAUSSHOR_MEM_CAP", "100")
+    rc, out, err = run_main("gauss-table", "--n", "105", "--kind", "g", capsys=capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: a table of 105 rows exceeds cap 100; pick one row with --ell\n"
+    assert run_main("gauss-table", "--n", "99", "--kind", "w", capsys=capsys)[0] == 0
+    rc, out, err = run_main(
+        "gauss-table", "--n", str(10**18 + 3), "--kind", "g", "--ell", "7", capsys=capsys
+    )
+    assert (rc, err) == (0, "")
+    assert len(parse_csv_sections(out)["table kind=g"]) == 1
 
 
 def test_shor_gauss_requires_register_condition(capsys):

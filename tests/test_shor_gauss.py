@@ -315,15 +315,24 @@ def test_peak_mass_bounds_values():
     assert float(b.unit_factor_total) == pytest.approx(
         0.4 * (91 * 13 + 91 * 7 + 13 + 7 - 4 * 91) / (91 * 72), abs=1e-12
     )
-    # per-bin and totals stay consistent: total = multiplicity * per-bin
-    assert b.unit_peak_total[7] == 7 * b.unit_peak_per_bin[7]
-    assert b.unit_peak_total[13] == 13 * b.unit_peak_per_bin[13]
+    assert b.unit_peak_total[7] == Fraction(2, 5) * 7 * 12**2 / (91 * 72)
+    assert b.unit_peak_total[13] == Fraction(2, 5) * 13 * 6**2 / (91 * 72)
+    # a unit per-bin bound is (7/11 (2M/f - K_f) - K_N - f M / (2M - N))**2 / (M S),
+    # with M = 2048, K_7 = 293, K_13 = 158, K_N = 23 and S = 1620 coprime points
+    assert b.unit_peak_per_bin[7] == (
+        Fraction(7, 11) * (Fraction(4096, 7) - 293) - 23 - Fraction(7 * 2048, 4005)
+    ) ** 2 / (2048 * 1620)
+    assert b.unit_peak_per_bin[13] == (
+        Fraction(7, 11) * (Fraction(4096, 13) - 158) - 23 - Fraction(13 * 2048, 4005)
+    ) ** 2 / (2048 * 1620)
 
 
 # the (N, Q) grid every peak-mass bound is checked on; it holds the README's
-# driver register (91, 14), where the old modulus-bin estimates failed
+# driver register (91, 14), where the old modulus-bin estimates failed, and
+# (221, 9) and (437, 9), where the old unit per-bin estimate failed
 BOUND_GRID = sorted(
-    {(n, q) for n in (15, 21, 35, 91, 221) for q in (11, *(min_register_bits(n) + k for k in (0, 1)))}
+    {(n, q) for n in (15, 21, 35, 91, 221, 437)
+     for q in (9, 11, *(min_register_bits(n) + k for k in (0, 1)))}
 )
 
 
@@ -580,6 +589,19 @@ def test_cached_tables_are_read_only():
     assert isinstance(branches, tuple) and not cdf.flags.writeable
     with pytest.raises(ValueError):
         factor_driver(91, 5, 0, 1)  # 2**5 <= 91**2, even with no trial to run
+
+
+def test_repeat_driver_call_reuses_the_register_tables():
+    # each call validates its own Semiprime; equal ones hash alike, so the
+    # second call finds both (N, Q) tables that the first one built
+    first = factor_driver(35, 11, 4, 0)
+    assert first.records[-1].outcome_a  # a unit-branch draw used the spectrum
+    caches = (_branch_table, _unit_spectrum)
+    before = [cache.cache_info() for cache in caches]
+    assert factor_driver(35, 11, 4, 0) == first
+    after = [cache.cache_info() for cache in caches]
+    assert [info.misses for info in after] == [info.misses for info in before]
+    assert all(a.hits > b.hits for a, b in zip(after, before))
 
 
 def test_lower_cap_applies_to_warm_tables(monkeypatch):
