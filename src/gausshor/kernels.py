@@ -16,6 +16,12 @@ exponentiation and add the terms with one exactly rounded sum (math.fsum),
 so analytic zeros come out at the 1e-13 level and are cleanly separated
 from genuinely small values like 1/N.  Closed forms are exact rationals
 wherever the inputs admit them.
+
+Every comb value in the package, F at a dyadic alpha and the comb sums of
+the branch spectra and the qubit variant, is one folded Dirichlet kernel
+(comb_kernel): its sine arguments pi * r / size are reduced in integers to
+[-pi/2, pi/2] (sin_pi), so it keeps its relative precision at the zeros
+and peaks of the comb.  Both take an int or an int64 array.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .numtheory import Semiprime, gcd_conv
 
@@ -137,19 +145,59 @@ def eval_F(alpha: float, m_terms: int) -> complex:
     return _fsum([cmath.exp((TWO_PI * ((k * alpha) % 1.0)) * 1j) for k in range(m_terms)])
 
 
-def eval_F_closed(alpha: float, m_terms: int) -> complex:
-    """Closed form of the geometric comb sum, (1 - e^{2*pi*i*alpha*M}) / (1 - e^{2*pi*i*alpha}).
+def sin_pi(r, size: int):
+    """sin(pi r / size) of an integer r, folded in integers to an argument in [-pi/2, pi/2].
 
-    The removable singularity at integral alpha returns M exactly; the
-    branch is chosen by |sin(pi*alpha)| < 1e-12.
+    r moves by h half turns to r - h * size in [-size/2, size/2), h the
+    nearest integer to r / size, and the sine takes the sign (-1)**h.  At a
+    zero of the sine at a nonzero multiple of pi, the unfolded argument
+    would carry the rounding of pi and lose the sine's relative precision.
+    An int64 array r gives the array of sines (np.sin); an int, math.sin's.
+    """
+    h = (2 * r + size) // (2 * size)
+    r = (r - h * size) * (1 - h % 2 * 2)
+    sin = np.sin if isinstance(r, np.ndarray) else math.sin
+    return sin(math.pi * r / size)
+
+
+def half_turn(r, size: int):
+    """exp(i pi r / size) of an integer r (or int64 array), size even, from two folded sines."""
+    return sin_pi(r + size // 2, size) + 1j * sin_pi(r, size)
+
+
+def comb_kernel(count: int, j, size: int):
+    """The comb sum sum_{k < count} exp(2 pi i k j / size) of an integer j (or int64 array), size even.
+
+    The Dirichlet form exp(i pi (count - 1) j / size) sin(pi count j / size)
+    / sin(pi j / size), every sine folded by sin_pi.  At j = 0 mod size
+    both sines are exactly 0 and the sum is count, taken as
+    (0 + count) / (0 + 1), so an array j needs no branch.
+    """
+    turn = (count - 1) * j
+    den = sin_pi(j, size)
+    zero = den == 0
+    kernel = (sin_pi(count * j, size) + count * zero) / (den + zero)
+    # half_turn(turn, size), inlined: UnitSpectrum.weigh makes three kernel calls per proposal
+    return kernel * (sin_pi(turn + size // 2, size) + 1j * sin_pi(turn, size))
+
+
+def eval_F_closed(alpha: float, m_terms: int) -> complex:
+    """Closed form of the geometric comb sum, from its exact dyadic value alpha = j / 2**e.
+
+    The sum is comb_kernel(M, j, 2**e), so M * alpha and (M - 1) * alpha
+    are reduced exactly; only an exactly integral alpha is the branch that
+    returns M.  Past a 2**960 denominator (|alpha| < 2**-907), where the
+    argument pi * r / 2**e leaves the float range, the sine ratio is M to
+    double precision for M < 2**800 and only the phase is kept.
     """
     if m_terms < 1:
         raise ValueError(f"term count must be >= 1, got {m_terms}")
-    if abs(math.sin(math.pi * alpha)) < 1e-12:
+    j, size = Fraction(alpha).as_integer_ratio()
+    if size == 1:
         return complex(m_terms)
-    num = 1.0 - cmath.exp(TWO_PI * 1j * alpha * m_terms)
-    den = 1.0 - cmath.exp(TWO_PI * 1j * alpha)
-    return num / den
+    if size > 1 << 960:
+        return m_terms * cmath.exp(1j * math.pi * (m_terms - 1) * alpha)
+    return comb_kernel(m_terms, j, size)
 
 
 def eval_truncated(ell: int, n: int, m_terms: int) -> complex:

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .kernels import comb_kernel
 from .numtheory import Semiprime, count_upper, factor_semiprime, gcd_conv, nontrivial_divisor
 from .states import Distribution, abs_sq, check_amplitude_cap, sample_cdf
 from .trials import DriverResult, TrialRecord, TrialStream, drive
@@ -337,22 +338,6 @@ def _branch_table(s: Semiprime, q_bits: int) -> tuple[tuple[BranchOutcome, ...],
 _SIN_EXCESS = 1.0 - 4.0 / math.pi**2
 
 
-def _sin_pi(r: int, size: int) -> float:
-    """sin(pi r / size) of an integer r, folded in integers to an argument in [-pi/2, pi/2].
-
-    At a zero of the sine at a nonzero multiple of pi, the unfolded argument
-    would carry the rounding of pi and lose the sine's relative precision.
-    """
-    r %= 2 * size
-    if r > size:
-        r -= 2 * size
-    if 2 * r > size:
-        r = size - r
-    elif 2 * r < -size:
-        r = -size - r
-    return math.sin(math.pi * r / size)
-
-
 class _Comb(NamedTuple):
     """One comb sum X_d(m) = sum_{k < count} exp(2 pi i k j / 2**Q), j = d m mod 2**Q.
 
@@ -437,9 +422,7 @@ class UnitSpectrum:
             a = min(j, size - j)
             e = c.height if a <= c.core else c.scale / (a * a - 0.25) + _SIN_EXCESS
             envelope += (2 * e if a == half else e) / c.weight
-            kernel = _sin_pi(c.count * j, size) / math.sin(math.pi * a / size)
-            turn = (c.count - 1) * j
-            f += c.sign * kernel * complex(_sin_pi(turn + half, size), _sin_pi(turn, size))
+            f += c.sign * comb_kernel(c.count, j, size)
         return f.real * f.real + f.imag * f.imag, self.total * envelope
 
     def probability(self, m: int) -> float:

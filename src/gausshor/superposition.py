@@ -11,9 +11,12 @@ remainder split W_k(l; pq) = W_k(l q; p) W_k(l p; q) (run_exact); its B
 marginal, conditional columns and purity are read from the two grids, and
 no N x N grid is formed.  The qubit variant works on two registers of size
 2**Q > N**2; its amplitudes depend on l only through l mod N and on m
-only through m^2 mod N, so its marginal folds N residue rows
-(qubit_marginal) and its conditional column is one length-N inverse FFT
-of residue-class sums (_column, for both kinds), with no N x 2**Q work.
+only through m^2 mod N and a linear phase, so the m-sum splits as
+m = t + k N into N residue terms times one geometric comb
+(kernels.comb_kernel) shared by all of them.  Its conditional column is
+then one length-N inverse FFT (_column, for both kinds), and its marginal
+three length-2**Q transforms of O(N**2) pair sums (qubit_marginal), with
+no N x 2**Q work.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import eval_W
+from .kernels import comb_kernel, eval_W, half_turn
 from .numtheory import Semiprime, factor_semiprime, gcd_conv, nontrivial_divisor
 from .states import (
     Distribution,
@@ -44,7 +47,7 @@ from .states import (
 from .trials import DriverResult, TrialRecord, TrialStream, drive
 
 MAX_QUBIT_BITS = 20
-_BLOCK_ENTRIES = 1 << 20  # residue rows per block are sized against this
+_QUBIT_BLOCK = 1 << 16  # (t, t') pairs, or register bins, per block of qubit_marginal
 # f x f Gram entries are <= 1/f; exact grids are circulant to 1e-16, a permuted row is ~f**-1.5 off
 _CIRCULANCE_TOL = 1e-12
 
@@ -244,55 +247,86 @@ def run_qubit(n: int, q_bits: int) -> SuperpositionRun:
     return SuperpositionRun(s=s, q_bits=q_bits)
 
 
-def qubit_marginal(n: int, q_bits: int) -> np.ndarray:
-    """B marginal of the power-of-two variant, folded over residues.
+def _pair_sums(c_dft: np.ndarray, n: int, rows: int, cols: int) -> np.ndarray:
+    """h(d) = sum of C((t^2 - t'^2) mod N) over t < rows, t' < cols with t - t' = d, at index d + cols - 1.
 
-    The B amplitudes (1/M) sum_m exp[2*pi*i*(m^2 l / N + m n / M)] of row l
-    are one inverse FFT and depend on l only through r = l mod N, so each
-    residue row is transformed once and its squared moduli weighted by the
-    (M - 1 - r)//N + 1 register rows with residue r.  The phase of (r, m)
-    is entry (r, m^2 mod N) of the N x N table roots[(r*s) mod N], built
-    once, so each block of the fixed row_blocks partition is one
-    C-contiguous gather from it into one reused buffer, and no index grid
-    is formed.  The table holds N**2 < 2**Q entries, within the register's
-    cap.
+    The pairs are gathered in blocks of rows of about _QUBIT_BLOCK
+    and each block's diagonals are summed by np.bincount.
+    """
+    sq = np.arange(max(rows, cols), dtype=np.int64) ** 2 % n
+    length = rows + cols - 1
+    h = np.zeros(length, dtype=np.complex128)
+    for t in row_blocks(rows, cols, _QUBIT_BLOCK):
+        diag = (t[:, None] + (cols - 1 - np.arange(cols))).ravel()
+        w = c_dft[(sq[t, None] - sq[:cols]) % n].ravel()
+        h += np.bincount(diag, w.real, length) + 1j * np.bincount(diag, w.imag, length)
+    return h
+
+
+def qubit_marginal(n: int, q_bits: int) -> np.ndarray:
+    """B marginal of the power-of-two variant, from the split m = t + k N, in O(N**2 + 2**Q Q).
+
+    With M = 2**Q = K N + rem, the amplitude of a row with residue r at bin
+    k is (1/M) sum_{t < N} exp(2 pi i (t^2 r / N + t k / M)) S_{K_t}(k),
+    K_t = K + [t < rem], where S_K(k) = comb_kernel(K, N k mod M) is the
+    comb over the k-sum and S_{K+1} = S_K + w**K, w = exp(2 pi i N k / M).
+    Weighting the r-rows by their counts c_r = K + [r < rem] turns
+    sum_r c_r |amplitude|^2 into
+
+        P(k) = [|S_K|^2 X + 2 Re(conj(S_K) w**K Y) + Z] / M**3,
+
+    where X, Y and Z are sum_d h(d) exp(2 pi i d k / M) over the pair
+    sums h of _pair_sums for t, t' < N; t < rem, t' < N; and t, t' < rem,
+    each weighted by C, the DFT of c_r (itself K N [s = 0] plus a comb over
+    r < rem).  X and Z have Hermitian h, so each is one real hfft of its
+    d >= 0 half; Y is one complex inverse FFT.  The bins are combined in
+    blocks of _QUBIT_BLOCK, so no length-M temporary is formed beyond X, Y
+    and the output.
     """
     size = 1 << q_bits
-    counts = ((size - 1 - np.arange(n)) // n + 1).astype(np.float64)
-    msq = (np.arange(size, dtype=np.int64) ** 2) % n
-    residues = np.arange(n, dtype=np.int64)
-    table = phase_roots(n)[np.outer(residues, residues) % n]
-    blocks = list(row_blocks(n, size, _BLOCK_ENTRIES))
-    buf = np.empty((len(blocks[0]), size), dtype=np.complex128)
-    acc = np.zeros(size)
-    for r in blocks:
-        rows = buf[: len(r)]
-        # msq < n, so "clip" never clips; unlike "raise" it writes to out unbuffered
-        np.take(table[r], msq, axis=1, out=rows, mode="clip")
-        np.fft.ifft(rows, axis=1, out=rows)
-        acc += counts[r] @ abs_sq(rows)
-    return acc / size
+    reps, rem = divmod(size, n)
+    c_dft = comb_kernel(rem, 2 * np.arange(n, dtype=np.int64), 2 * n)
+    c_dft[0] += reps * n
+    x = np.fft.hfft(np.conj(_pair_sums(c_dft, n, n, n)[n - 1 :]), size)
+    out = np.fft.hfft(np.conj(_pair_sums(c_dft, n, rem, rem)[rem - 1 :]), size)
+    h = _pair_sums(c_dft, n, rem, n)
+    y = np.zeros(size, dtype=np.complex128)
+    y[:rem] = h[n - 1 :]
+    y[size - n + 1 :] = h[: n - 1]
+    np.fft.ifft(y, out=y)  # Y / M
+    for k in row_blocks(size, 1, _QUBIT_BLOCK):
+        j = n * k % size
+        s_k = comb_kernel(reps, j, size)
+        turn = np.conj(s_k) * half_turn(2 * reps * j, size)
+        out[k] += abs_sq(s_k) * x[k] + 2 * size * (turn * y[k]).real
+    out *= 1.0 / size**3
+    return out
 
 
 def _column(run: SuperpositionRun, n0: int) -> np.ndarray:
     """Unnormalized |amplitude(l, n0)|^2 column of an exact (from the grids) or qubit run.
 
-    The qubit amplitude (1/M) sum_m exp[2*pi*i*(m^2 r / N + m n0 / M)] of
-    residue r = l mod N depends on m^2 only mod N, so it is (N/M) times the
-    inverse FFT of the residue-class sums z_s = sum_{m^2 = s mod N} exp(2*pi*i*m*n0/M):
-    O(M + N log N), then repeated across the register.
+    Qubit: with m = t + k N, M = 2**Q = K N + rem, the amplitude of residue r = l mod N
+    is (1/M) sum_{t < N} exp(2 pi i t^2 r / N) y_t, where
+    y_t = exp(2 pi i t n0 / M) S_{K_t}(n0) and S_K, S_{K+1} are two scalar
+    comb_kernel values at N n0 mod M.  The y_t are summed into classes
+    t^2 mod N by one np.bincount and the N residues are one length-N
+    inverse FFT of them: O(N log N), every phase reduced in integers, then
+    repeated across the register into the one length-2**Q output.
     """
     n = run.s.n
     if run.grids is not None:
         return abs_sq(_amplitudes(run, np.arange(n), n0))
     size = 1 << run.q_bits
-    m = np.arange(size, dtype=np.int64)
-    # m * n0 < 2**40 is reduced exactly, so the phases lose no bits to a large argument
-    linear = phase_roots(size)[(m * n0) % size]
-    msq = (m * m) % n
-    z = np.bincount(msq, linear.real, n) + 1j * np.bincount(msq, linear.imag, n)
-    folded = abs_sq(np.fft.ifft(z) * (n / size))
-    return np.resize(folded, size) / size
+    reps, rem = divmod(size, n)
+    t = np.arange(n, dtype=np.int64)
+    y = half_turn(2 * t * n0, size)
+    j = n * n0 % size
+    y[:rem] *= comb_kernel(reps + 1, j, size)
+    y[rem:] *= comb_kernel(reps, j, size)
+    tsq = t * t % n
+    z = np.bincount(tsq, y.real, n) + 1j * np.bincount(tsq, y.imag, n)
+    return np.resize(abs_sq(np.fft.ifft(z) * (n / size)) / size, size)
 
 
 def peak_index(n_bin: int, n: int, size: int) -> int:
@@ -306,7 +340,8 @@ def conditional_after_peak(run: SuperpositionRun, n_peak: int) -> Distribution:
     n_peak must lie in the register and within half a bin of some multiple
     j * 2**Q / N; the resulting distribution over l mirrors the
     exact-dimension conditional at outcome j, up to the two-scale
-    remainder distortion.
+    remainder distortion.  It is the two-scale column of _column, O(N log N)
+    from two scalar comb values, normalised; the marginal is not built.
     """
     if run.q_bits is None:
         raise ValueError("operation requires a qubit-register run")

@@ -2,8 +2,10 @@
 
 Everything here is deliberately written against the raw definitions with
 plain cmath loops and no shared code with the package numerics: no root
-tables, no compensated accumulation, no FFT.  Phase integers are reduced
-exactly before exponentiation so analytic zeros survive.  The one closed
+tables, no FFT, and plain sums, except that comb_sum_exact and
+qubit_column_direct, whose sums fall far below the size of their terms,
+add with math.fsum.  Phase integers are reduced exactly before
+exponentiation so analytic zeros survive.  The one closed
 form evaluated over whole registers, branch_spectrum_closed, does the same
 integer reduction elementwise in numpy, so that 2**20 bins take a second.
 """
@@ -38,6 +40,20 @@ def two_scale_direct(n0: int, ell: int, n: int, m_terms: int) -> complex:
 
 def comb_sum_direct(alpha: float, m_terms: int) -> complex:
     return sum(cmath.exp(1j * TAU * k * alpha) for k in range(m_terms))
+
+
+def comb_sum_exact(alpha: float, m_terms: int) -> complex:
+    """sum_{k < M} exp(2*pi*i*k*alpha) at alpha's exact dyadic value num / den.
+
+    Each k * num is reduced mod den in integers to the nearest residue, so
+    every phase lies in [-pi, pi], and the terms are added by math.fsum.
+    """
+    num, den = alpha.as_integer_ratio()
+    terms = []
+    for k in range(m_terms):
+        r = (k * num) % den
+        terms.append(cmath.exp(1j * TAU * (r - den if 2 * r > den else r) / den))
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
 
 
 def truncated_sum_direct(ell: int, n: int, m_terms: int) -> complex:
@@ -104,6 +120,38 @@ def qubit_comb_mass_direct(n: int, q_bits: int) -> float:
             )
             total += counts[ell] * abs(amp / size) ** 2
     return total / size
+
+
+def _root(r: int, size: int) -> complex:
+    """exp(2*pi*i*r/size): q quarter turns, q nearest 4r/size, times a rest within an eighth of a turn."""
+    q = (8 * r + size) // (2 * size)
+    z = cmath.exp(1j * (math.pi / 2) * (4 * r - q * size) / size)
+    for _ in range(q % 4):
+        z = complex(-z.imag, z.real)  # exactly i * z
+    return z
+
+
+def qubit_column_direct(n: int, q_bits: int, n0: int) -> list[float]:
+    """|A_r(n0)|^2 / M for the residues r < N, with M = 2**Q and
+    A_r(n0) = (1/M) sum_{m<M} exp[2*pi*i*(m^2 r / N + m n0 / M)].
+
+    The sum over m is taken class by class, m = t (mod N): the quadratic
+    phase depends on t only, so each class adds its linear phases
+    exp(2*pi*i*m*n0/M) with one math.fsum, and each residue adds its N
+    class sums times exp(2*pi*i*t^2*r/N) with another.  Every phase is
+    _root's, reduced in integers to within an eighth of a turn.
+    """
+    size = 1 << q_bits
+    classes = []
+    for t in range(n):
+        terms = [_root(m * n0, size) for m in range(t, size, n)]
+        classes.append(complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms)))
+    col = []
+    for r in range(n):
+        terms = [_root(t * t * r, n) * classes[t] for t in range(n)]
+        amp = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms)) / size
+        col.append(abs(amp) ** 2 / size)
+    return col
 
 
 def comb_post_state_direct(n: int, q_bits: int, label: int) -> list[float]:

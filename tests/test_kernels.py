@@ -204,6 +204,20 @@ def test_eval_F_closed_integral_alpha():
         assert eval_F_closed(0.0, m_terms) == complex(m_terms)
 
 
+# near integral alpha, a comb peak, and (M = 293 only) near zeros of the comb,
+# where at M = 2**16 |F| falls below the direct sum's own rounding
+_COMB_ALPHAS = (1e-13, 2e-13, 1e-9, 1 + 0.5 / 293, 3 + 1e-12)
+_COMB_CASES = [(a, 293) for a in _COMB_ALPHAS + (0.3, 0.5 + 1e-13)] + [
+    (a, 2**16) for a in _COMB_ALPHAS
+]
+
+
+@pytest.mark.parametrize("alpha, m_terms", _COMB_CASES)
+def test_eval_F_closed_matches_exactly_reduced_sum(alpha, m_terms):
+    expected = oracles.comb_sum_exact(alpha, m_terms)
+    assert abs(eval_F_closed(alpha, m_terms) - expected) <= 1e-13 * abs(expected)
+
+
 def test_peak_lower_bound_grid():
     # |F(j + delta/M; M)| >= (2/pi) M across the sub-bin offset range
     for m_terms in range(2, 1025):

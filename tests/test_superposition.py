@@ -20,7 +20,6 @@ from gausshor.states import (
     purity_closed,
     qft_b,
     quadratic_phase_grid,
-    row_blocks,
     sample_cdf,
     sample_outcome,
     uniform_product,
@@ -224,45 +223,20 @@ def test_qubit_conditional_phase_reduced_exactly(j):
     assert np.max(np.abs(col[:n] - expected)) <= 1e-13 * np.max(expected)
 
 
-def _index_grid_rows(n, size):
-    """Residue rows from a phase-index grid per block, the formula the root table replaced."""
-    msq = (np.arange(size, dtype=np.int64) ** 2) % n
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    for r in row_blocks(n, size, superposition._BLOCK_ENTRIES):
-        yield r, roots[(r[:, None] * msq[None, :]) % n]
-
-
-@pytest.mark.parametrize("n, q_bits", [(21, 9), (91, 14)])
-def test_qubit_marginal_root_table_keeps_index_grid_bits(n, q_bits):
-    size = 1 << q_bits
-    counts = ((size - 1 - np.arange(n)) // n + 1).astype(np.float64)
-    acc = np.zeros(size)
-    for r, rows in _index_grid_rows(n, size):
-        rows = np.fft.ifft(rows, axis=1)
-        acc += counts[r] @ (rows.real**2 + rows.imag**2)
-    assert np.array_equal(qubit_marginal(n, q_bits), acc / size)
-
-
 def test_qubit_conditional_residue_sums_match_index_grid():
-    """The residue-class FFT against the column summed row by row from phase-index grids.
+    """The two-scale column against oracles.qubit_column_direct, an exactly reduced fsum over m.
 
     Each column is held to 1e-14 of its own peak, except at bins 1, 7 and
     2**Q - 1: there the sums cancel to a peak about 5e-8 of the bin-0
-    column's 1/2**Q, both formulas sit about 2e-12 of that small peak from
-    oracles.two_scale_direct, and the bound is 1e-14 of 1/2**Q.
+    column's 1/2**Q, and the bound is 1e-14 of 1/2**Q.  The name is kept
+    from the phase-index-grid formula this check first compared against.
     """
     n, q_bits = 91, 14
     size = 1 << q_bits
     run = run_qubit(n, q_bits)
     peaks = [round(j * size / n) for j in range(n)]
     for n0 in peaks + [1, 7, 1801, 5000, size - 1]:
-        phase = (np.arange(size, dtype=np.int64) * n0) % size
-        linear = np.exp(2j * np.pi * np.arange(size) / size)[phase] / size
-        folded = np.empty(n)
-        for r, rows in _index_grid_rows(n, size):
-            amps = rows @ linear
-            folded[r] = amps.real**2 + amps.imag**2
-        expected = np.resize(folded, size) / size
+        expected = np.resize(oracles.qubit_column_direct(n, q_bits, n0), size)
         scale = 1 / size if n0 in (1, 7, size - 1) else np.max(expected)
         assert np.max(np.abs(_column(run, n0) - expected)) <= 1e-14 * scale, n0
 
@@ -281,16 +255,46 @@ def test_qubit_conditional_matches_two_scale_oracle_at_221():
         assert np.max(np.abs(col[list(ells)] - expected)) <= 1e-13 * np.max(col), j
 
 
-def test_qubit_conditional_peak_allocation_below_eight_register_vectors():
-    """No N x 2**Q buffer: the column's temporaries are a few length-2**Q vectors."""
-    run = run_qubit(91, 14)
+@pytest.mark.parametrize("n, q_bits, n0", [(91, 14, 8102), (899, 20, 116638)])
+def test_qubit_conditional_peak_allocation_below_three_register_vectors(n, q_bits, n0):
+    """No N x 2**Q buffer: the column allocates its output and O(N) more, below 3 complex register vectors."""
+    run = run_qubit(n, q_bits)
     tracemalloc.start()
     try:
-        _column(run, 8102)
+        _column(run, n0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 128 * (1 << 14)
+    assert peak < 3 * 16 * (1 << q_bits)
+
+
+def _folded_marginal(n, q_bits):
+    """The B marginal summed residue row by residue row: count_r |inverse FFT of row r|^2 / 2**Q."""
+    size = 1 << q_bits
+    msq = np.arange(size, dtype=np.int64) ** 2 % n
+    acc = np.zeros(size)
+    for r in range(n):
+        row = np.fft.ifft(np.exp(2j * np.pi * (msq * r % n) / n))
+        acc += ((size - 1 - r) // n + 1) * (row.real**2 + row.imag**2)
+    return acc / size
+
+
+# (N, Q) from the smallest register with N**2 < 2**Q to two bits past it
+_MARGINAL_PAIRS = [
+    (n, q) for n in (15, 21, 33, 35) for q in range((n * n).bit_length(), (n * n).bit_length() + 3)
+]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(_MARGINAL_PAIRS))
+def test_qubit_marginal_matches_folded_sum_and_comb_oracle(pair):
+    n, q_bits = pair
+    size = 1 << q_bits
+    pb = qubit_marginal(n, q_bits)
+    assert np.max(np.abs(pb - _folded_marginal(n, q_bits))) <= 1e-15
+    assert abs(math.fsum(pb) - 1.0) <= 1e-15
+    comb = sorted({(2 * j * size + n) // (2 * n) for j in range(n)})
+    assert abs(math.fsum(pb[comb]) - oracles.qubit_comb_mass_direct(n, q_bits)) <= 1e-12
 
 
 def test_qubit_marginal_peaks():
@@ -700,6 +704,55 @@ def test_exact_driver_mean_trials_to_success(n):
     """Trials to success are geometric: over seeds 0..999 their mean is 1/P* within 4.5 sigma."""
     run, seeds = run_exact(n), range(1000)
     p = float(success_probability(run.s))
+    results = [sample_factor_driver(run, 10**6, seed) for seed in seeds]  # no budget binds
+    assert all(r.succeeded for r in results)
+    mean = sum(r.trials_run for r in results) / len(seeds)
+    assert abs(mean - 1 / p) <= 4.5 * math.sqrt((1 - p) / p**2 / len(seeds))
+
+
+# the qubit driver's per-trial success law, from a direct scratch sum over every bin's column
+QUBIT_SUCCESS_LAWS = {(21, 9): 0.597124, (35, 11): 0.481350}
+
+
+def qubit_success_law(run) -> float:
+    """Per-trial success chance of the qubit driver, from the two-scale marginal and columns.
+
+    A bin whose peak index shares a factor with N succeeds at once; any
+    other bin b succeeds when its A sample, drawn from column b, is a
+    nonzero multiple of p or q.
+    """
+    n, size = run.n, 1 << run.q_bits
+    gcds = np.gcd(np.arange(size), n)
+    factor_rows = (gcds > 1) & (gcds < n)
+    terms = []
+    for b, pb in enumerate(run.pb_probs):
+        if nontrivial_divisor(peak_index(b, n, size), n) is None:
+            col = _column(run, b)
+            pb *= np.sum(col[factor_rows]) / np.sum(col)
+        terms.append(pb)
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("n, q_bits", QUBIT_SUCCESS_LAWS)
+def test_qubit_driver_success_law(n, q_bits):
+    law = qubit_success_law(run_qubit(n, q_bits))
+    assert abs(law - QUBIT_SUCCESS_LAWS[n, q_bits]) <= 5e-7
+
+
+@pytest.mark.parametrize("n, q_bits", QUBIT_SUCCESS_LAWS)
+def test_qubit_driver_budget_one_success_frequency(n, q_bits):
+    """Budget-1 runs over seeds 0..2999 succeed at the law within 4.5 sigma."""
+    run, seeds = run_qubit(n, q_bits), range(3000)
+    p = QUBIT_SUCCESS_LAWS[n, q_bits]
+    freq = sum(sample_factor_driver(run, 1, seed).succeeded for seed in seeds) / len(seeds)
+    assert abs(freq - p) <= 4.5 * math.sqrt(p * (1 - p) / len(seeds))
+
+
+@pytest.mark.parametrize("n, q_bits", QUBIT_SUCCESS_LAWS)
+def test_qubit_driver_mean_trials_to_success(n, q_bits):
+    """Trials to success are geometric: over seeds 0..999 their mean is 1/law within 4.5 sigma."""
+    run, seeds = run_qubit(n, q_bits), range(1000)
+    p = QUBIT_SUCCESS_LAWS[n, q_bits]
     results = [sample_factor_driver(run, 10**6, seed) for seed in seeds]  # no budget binds
     assert all(r.succeeded for r in results)
     mean = sum(r.trials_run for r in results) / len(seeds)
