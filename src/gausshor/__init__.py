@@ -65,14 +65,12 @@ from .superposition import (
     conditional_after_peak,
     exact_conditional,
     factor_mass_a,
-    p_b_closed_reference,
     p_b_distribution,
     run_exact,
     run_qubit,
     sample_factor_driver,
     success_mass,
     success_probability,
-    useful_mass_closed_reference,
 )
 from .trials import DriverResult, TrialRecord, trial_rng
 

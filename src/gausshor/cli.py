@@ -147,6 +147,7 @@ def merge_config(command: str, flags: dict[str, str]) -> RunConfig:
 
     Every RunConfig key but the command is a key of the config file,
     whatever the subcommand; a config-file key outside that set is rejected.
+    Every value is checked, but only the keys the subcommand has flags for apply.
     """
     keys = [key for key in RunConfig.__annotations__ if key != "command"]
     path = flags.get("config")
@@ -161,7 +162,9 @@ def merge_config(command: str, flags: dict[str, str]) -> RunConfig:
     for key in keys:
         value = flags.get(key, file_vals.get(key))
         if value is not None:
-            setattr(cfg, key, _from_text(key, value))
+            value = _from_text(key, value)
+            if key in _USAGE[command][1]:
+                setattr(cfg, key, value)
     if cfg.format not in ("csv", "json"):
         raise InputError(f"--format must be csv or json, got {cfg.format!r}")
     return cfg

@@ -139,10 +139,15 @@ def eval_W_tilde(n_shift: int, ell: int, n: int, m_terms: int) -> complex:
 
 
 def eval_F(alpha: float, m_terms: int) -> complex:
-    """Geometric comb sum sum_{k=0}^{M-1} exp[2*pi*i*k*alpha] by direct summation."""
+    """Geometric comb sum sum_{k=0}^{M-1} exp[2*pi*i*k*alpha] by direct summation.
+
+    Each k * alpha is reduced exactly, as k * num mod den of alpha = num / den, to [-1/2, 1/2).
+    """
     if m_terms < 1:
         raise ValueError(f"term count must be >= 1, got {m_terms}")
-    return _fsum([cmath.exp((TWO_PI * ((k * alpha) % 1.0)) * 1j) for k in range(m_terms)])
+    num, den = alpha.as_integer_ratio()
+    residues = ((k * num + den // 2) % den - den // 2 for k in range(m_terms))
+    return _fsum([cmath.exp((TWO_PI * (r / den)) * 1j) for r in residues])
 
 
 def sin_pi(r, size: int):

@@ -7,10 +7,10 @@ then hands A a distribution over trial factors whose enhanced points (or
 exact zeros) mark the divisors of N.
 
 An exact run keeps only the p x p and q x q factor grids of the Chinese
-remainder split W_k(l; pq) = W_k(l q; p) W_k(l p; q) (run_exact); its B
-marginal, conditional columns and purity are read from the two grids, and
-no N x N grid is formed.  The qubit variant works on two registers of size
-2**Q > N**2; its amplitudes depend on l only through l mod N and on m
+remainder split W_k(l; pq) = W_k(l q; p) W_k(l p; q) (run_exact): its law
+is a product of two factor laws, read from the grids and joined by the CRT
+only where a length-N report is printed.  The qubit variant works on two
+registers of size 2**Q > N**2; its amplitudes depend on l only through l mod N and on m
 only through m^2 mod N and a linear phase, so the m-sum splits as
 m = t + k N into N residue terms times one geometric comb
 (kernels.comb_kernel) shared by all of them.  Its conditional column is
@@ -29,12 +29,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import comb_kernel, eval_W, half_turn
-from .numtheory import Semiprime, factor_semiprime, gcd_conv, nontrivial_divisor
+from .numtheory import Semiprime, factor_semiprime, nontrivial_divisor
 from .states import (
     Distribution,
     StateIntegrityError,
     abs_sq,
-    abs_sq_column_sums,
     check_amplitude_cap,
     check_unit_norm,
     conditional,
@@ -42,12 +41,11 @@ from .states import (
     quadratic_phase_grid,
     row_blocks,
     sample_cdf,
-    sample_outcome,
 )
 from .trials import DriverResult, TrialRecord, TrialStream, drive
 
 MAX_QUBIT_BITS = 20
-_QUBIT_BLOCK = 1 << 16  # (t, t') pairs, or register bins, per block of qubit_marginal
+_BLOCK = 1 << 16  # (t, t') pairs or bins per block of qubit_marginal, cells of _column_sums
 # f x f Gram entries are <= 1/f; exact grids are circulant to 1e-16, a permuted row is ~f**-1.5 off
 _CIRCULANCE_TOL = 1e-12
 
@@ -57,7 +55,7 @@ class SuperpositionRun:
 
     An exact run carries the read-only p x p and q x q factor grids of its
     state; a qubit run carries only the validated Q of its 2**Q register
-    pair.  Neither holds a B marginal until pb_probs is first read.
+    pair.  Neither holds a B law until one is first read; each is then kept.
     """
 
     def __init__(
@@ -76,12 +74,24 @@ class SuperpositionRun:
 
     @functools.cached_property
     def pb_probs(self) -> np.ndarray:
-        """B marginal on first use: the product of the grids' column sums, or the qubit fold."""
+        """B marginal: the factor laws joined by the CRT, pb(k) = pb_p[k mod p] pb_q[k mod q], or the qubit one."""
         if self.grids is None:
             return qubit_marginal(self.n, self.q_bits)
+        (p, pb_p), (q, pb_q) = self.factor_laws
         k = np.arange(self.n)
-        pb_p, pb_q = (abs_sq_column_sums(g) for g in self.grids)
-        return pb_p[k % self.s.p] * pb_q[k % self.s.q]
+        return pb_p[k % p] * pb_q[k % q]
+
+    @functools.cached_property
+    def factor_laws(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """The B law as (modulus, law) pairs: each factor grid's column sums, or the qubit marginal whole."""
+        if self.grids is None:
+            return ((1 << self.q_bits, self.pb_probs),)
+        return tuple((len(g), _column_sums(g)) for g in self.grids)
+
+    @functools.cached_property
+    def b_cdfs(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """The factor laws as cumulative sums, which every driver call on the run draws B from."""
+        return tuple((m, np.cumsum(law)) for m, law in self.factor_laws)
 
 
 class SuccessMass(NamedTuple):
@@ -104,6 +114,26 @@ def _check_exact(run: SuperpositionRun) -> tuple[np.ndarray, np.ndarray]:
     if run.grids is None:
         raise ValueError("operation requires an exact-dimension run")
     return run.grids
+
+
+def _check_outcome(run: SuperpositionRun, n0: int) -> tuple[np.ndarray, np.ndarray]:
+    """The factor grids of an exact run whose B register holds n0."""
+    grids = _check_exact(run)
+    if not (0 <= n0 < run.n):
+        raise ValueError(f"outcome {n0} outside B register of size {run.n}")
+    return grids
+
+
+def _column_sums(grid: np.ndarray) -> np.ndarray:
+    """Column sums of |grid|^2, each a pairwise np.sum: a block of about _BLOCK squared
+    moduli is copied transposed, so a column is one contiguous row of the copy.
+    """
+    rows, cols = grid.shape
+    sums = np.empty(cols)
+    for c in row_blocks(cols, rows, _BLOCK):
+        block = slice(c[0], c[-1] + 1)
+        sums[block] = np.sum(abs_sq(grid[:, block]).T.copy(), axis=1)
+    return sums
 
 
 def _factor_grid(n: int, f: int) -> np.ndarray:
@@ -155,22 +185,17 @@ def p_b_distribution(run: SuperpositionRun) -> Distribution:
     return Distribution(run.pb_probs)
 
 
-def _factor_residues(s: Semiprime) -> np.ndarray:
-    """Mask of the residues 0 .. N-1 that are nonzero multiples of p or q."""
-    gcds = np.gcd(np.arange(s.n), s.n)
-    return (gcds == s.p) | (gcds == s.q)
-
-
 def success_mass(run: SuperpositionRun) -> SuccessMass:
-    """Split the exact B marginal by the divisor class of the outcome."""
+    """Split the exact B marginal by the divisor class of the outcome, from the two factor laws.
+
+    Residue 0 of factor f's law is the mass of f | k, the fsum of the rest
+    that of f not dividing k, so each class mass is one product.
+    """
     _check_exact(run)
-    probs, factor_mask = run.pb_probs, _factor_residues(run.s)
-    coprime_mask = ~factor_mask
-    coprime_mask[0] = False  # residue 0 is the multiple of N
-    zero = float(probs[0])
-    factor = float(np.sum(probs[factor_mask]))
-    coprime = float(np.sum(probs[coprime_mask]))
-    return SuccessMass(zero, factor, coprime)
+    (_, pb_p), (_, pb_q) = run.factor_laws
+    zero_p, zero_q = float(pb_p[0]), float(pb_q[0])
+    rest_p, rest_q = math.fsum(pb_p[1:]), math.fsum(pb_q[1:])
+    return SuccessMass(zero_p * zero_q, zero_p * rest_q + rest_p * zero_q, rest_p * rest_q)
 
 
 def _amplitudes(run: SuperpositionRun, ell, n0: int):
@@ -182,16 +207,21 @@ def _amplitudes(run: SuperpositionRun, ell, n0: int):
 
 def exact_conditional(run: SuperpositionRun, n0: int) -> Distribution:
     """A-register distribution of an exact run given the B outcome n0, from one O(N) column."""
-    _check_exact(run)
-    if not (0 <= n0 < run.n):
-        raise ValueError(f"outcome {n0} outside B register of size {run.n}")
+    _check_outcome(run, n0)
     return conditional(_column(run, n0), n0)
 
 
 def factor_mass_a(run: SuperpositionRun, n0: int) -> float:
-    """Probability that the conditional A sample is a nonzero multiple of p or q."""
-    cond = exact_conditional(run, n0)
-    return float(np.sum(cond.probs[_factor_residues(run.s)]))
+    """Probability that the conditional A sample is a nonzero multiple of p or q.
+
+    Column n0 is the product of each grid's column n0 mod f, of mass pb_f[n0 mod f], so
+    p | l, q not | l has mass |gp[0, n0]|^2 (pb_q[n0] - |gq[0, n0]|^2); and p, q swapped.
+    """
+    gp, gq = _check_outcome(run, n0)
+    (p, pb_p), (q, pb_q) = run.factor_laws
+    zero_p, zero_q = abs(gp[0, n0 % p]) ** 2, abs(gq[0, n0 % q]) ** 2
+    mass_p, mass_q = pb_p[n0 % p], pb_q[n0 % q]
+    return float(zero_p * (mass_q - zero_q) + zero_q * (mass_p - zero_p)) / float(mass_p * mass_q)
 
 
 def success_probability(s: Semiprime) -> Fraction:
@@ -250,13 +280,13 @@ def run_qubit(n: int, q_bits: int) -> SuperpositionRun:
 def _pair_sums(c_dft: np.ndarray, n: int, rows: int, cols: int) -> np.ndarray:
     """h(d) = sum of C((t^2 - t'^2) mod N) over t < rows, t' < cols with t - t' = d, at index d + cols - 1.
 
-    The pairs are gathered in blocks of rows of about _QUBIT_BLOCK
+    The pairs are gathered in blocks of rows of about _BLOCK
     and each block's diagonals are summed by np.bincount.
     """
     sq = np.arange(max(rows, cols), dtype=np.int64) ** 2 % n
     length = rows + cols - 1
     h = np.zeros(length, dtype=np.complex128)
-    for t in row_blocks(rows, cols, _QUBIT_BLOCK):
+    for t in row_blocks(rows, cols, _BLOCK):
         diag = (t[:, None] + (cols - 1 - np.arange(cols))).ravel()
         w = c_dft[(sq[t, None] - sq[:cols]) % n].ravel()
         h += np.bincount(diag, w.real, length) + 1j * np.bincount(diag, w.imag, length)
@@ -280,7 +310,7 @@ def qubit_marginal(n: int, q_bits: int) -> np.ndarray:
     each weighted by C, the DFT of c_r (itself K N [s = 0] plus a comb over
     r < rem).  X and Z have Hermitian h, so each is one real hfft of its
     d >= 0 half; Y is one complex inverse FFT.  The bins are combined in
-    blocks of _QUBIT_BLOCK, so no length-M temporary is formed beyond X, Y
+    blocks of _BLOCK, so no length-M temporary is formed beyond X, Y
     and the output.
     """
     size = 1 << q_bits
@@ -294,7 +324,7 @@ def qubit_marginal(n: int, q_bits: int) -> np.ndarray:
     y[:rem] = h[n - 1 :]
     y[size - n + 1 :] = h[: n - 1]
     np.fft.ifft(y, out=y)  # Y / M
-    for k in row_blocks(size, 1, _QUBIT_BLOCK):
+    for k in row_blocks(size, 1, _BLOCK):
         j = n * k % size
         s_k = comb_kernel(reps, j, size)
         turn = np.conj(s_k) * half_turn(2 * reps * j, size)
@@ -358,75 +388,45 @@ def conditional_after_peak(run: SuperpositionRun, n_peak: int) -> Distribution:
     return conditional(_column(run, n_peak), n_peak)
 
 
-def p_b_closed_reference(s: Semiprime, n0: int) -> Fraction:
-    """Delta-comb closed form of the B marginal; reference only, known low.
+def _draw(cdfs: tuple[tuple[int, np.ndarray], ...], rng: TrialStream) -> int:
+    """One inverse-CDF draw per (modulus, cumulative law) pair, in order, joined by Garner's CRT.
 
-    This shortcut keeps only the enhanced contributions
-
-        n0 = 0:            (1/N) * [(N - p - q + 1)/N + 1]
-        gcd(n0, N) = p:    (1/N) * (p/N) * (q - 1)
-        gcd(n0, N) = q:    (1/N) * (q/N) * (p - 1)
-        otherwise:         0
-
-    and drops the rest of each column, so its values undercount the
-    brute-force marginal (163/8281 instead of 325/8281 at n0 = 0 for
-    N = 91) and do not sum to 1.  Every computation path in this package
-    uses the brute-force marginal; this function exists so the
-    discrepancy stays visible and tested.
+    With one modulus the draw is that factor's residue itself.
     """
-    n, p, q = s.n, s.p, s.q
-    d = gcd_conv(n0 % n, n)
-    if d == n:
-        return Fraction(n - p - q + 1, n * n) + Fraction(1, n)
-    if d == p:
-        return Fraction(p * (q - 1), n * n)
-    if d == q:
-        return Fraction(q * (p - 1), n * n)
-    return Fraction(0)
+    x, size = 0, 1
+    for m, cdf in cdfs:
+        x += size * ((sample_cdf(cdf, rng) - x) * pow(size, -1, m) % m)
+        size *= m
+    return x
 
 
-def useful_mass_closed_reference(s: Semiprime) -> Fraction:
-    """Closed-form estimate of the total useful mass; reference only, known off.
-
-    2/(N p) + 2/p + 2p/N^2 + 2p/N - p^2/N^2 - 4/N - 1/N^2, the companion
-    expression to p_b_closed_reference.  It gives 3266/8281 (about 0.394)
-    for N = 91 where brute force gives 3097/8281 (about 0.374), and does
-    not even agree with summing p_b_closed_reference over the useful
-    outcomes (1639/8281).  Kept for documentation; never on a computation
-    path.
-    """
-    n, p = s.n, s.p
-    return (
-        Fraction(2, n * p)
-        + Fraction(2, p)
-        + Fraction(2 * p, n * n)
-        + Fraction(2 * p, n)
-        - Fraction(p * p, n * n)
-        - Fraction(4, n)
-        - Fraction(1, n * n)
-    )
+def _a_cdfs(run: SuperpositionRun, n0: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """Cumulative A laws given the B outcome n0: column n0 mod f of each grid, or the qubit column."""
+    if run.grids is None:
+        return ((1 << run.q_bits, np.cumsum(_column(run, n0))),)
+    return tuple((len(g), np.cumsum(abs_sq(g[:, n0 % len(g)]))) for g in run.grids)
 
 
 def sample_factor_driver(run: SuperpositionRun, max_trials: int, seed: int) -> DriverResult:
     """Measure-B-then-maybe-A trials on a prepared run, until one finds a nontrivial gcd.
 
-    Exact mode: a measured n0 sharing a divisor with N reveals it at once.
-    Qubit mode maps the measured bin to the index j of the nearest peak
-    j*2**Q/N and tests gcd(j, N).  Otherwise one A sample is drawn from
-    the unnormalised column the conditional report prints (sample_cdf
-    scales by its mass), and its gcd tested.  The run's marginal is built
-    once, on first use.
+    Every outcome is one _draw from the factor laws: mod p and q for an
+    exact run, so a trial touches O(p + q) numbers, and mod 2**Q for a qubit
+    run.  A measured n0 sharing a divisor with N reveals it at once; a qubit
+    bin is first mapped to the index j of its nearest peak j*2**Q/N.
+    Otherwise one A sample is drawn from the unnormalised column of n0, and
+    its gcd tested.  The cumulative B laws are built once per run.
     """
-    n = run.n
-    pb_cdf = np.cumsum(run.pb_probs)
+    n, b_cdfs = run.n, run.b_cdfs
+    size = math.prod(m for m, _ in b_cdfs)
 
     def trial(t: int, rng: TrialStream) -> TrialRecord:
-        n0 = sample_cdf(pb_cdf, rng)
+        n0 = _draw(b_cdfs, rng)
         # exact mode: size N, so j = n0
-        factor = nontrivial_divisor(peak_index(n0, n, len(pb_cdf)), n)
+        factor = nontrivial_divisor(peak_index(n0, n, size), n)
         ell = None
         if factor is None:
-            ell = sample_outcome(_column(run, n0), rng)
+            ell = _draw(_a_cdfs(run, n0), rng)
             factor = nontrivial_divisor(ell, n)
         return TrialRecord(t, n0, outcome_a=ell, factor=factor)
 

@@ -8,10 +8,13 @@ add with math.fsum.  Phase integers are reduced exactly before
 exponentiation so analytic zeros survive.  The one closed
 form evaluated over whole registers, branch_spectrum_closed, does the same
 integer reduction elementwise in numpy, so that 2**20 bins take a second.
+The class oracle of the exact run (class_weight and the laws built on it)
+is exact rational arithmetic.
 """
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -83,6 +86,50 @@ def pb_brute(n: int) -> list[float]:
 
 def purity_brute(n: int) -> float:
     return sum(abs(gauss_sum_direct(ell, n)) ** 2 for ell in range(n)) / n**3
+
+
+def class_weight(f: int, r: int, k: int) -> Fraction:
+    """The factor-f part w_f of |amplitude(l, k)|^2 of the exact run, at r = l mod f.
+
+    |amplitude(l, k)|^2 = |W_k(l; N)|^2 / N = w_p w_q: the CRT splits the
+    shifted Gauss sum into one sum per prime factor f, and w_f is 1/f**2
+    when f does not divide l, and [f | k]/f when it does.
+    """
+    if r % f:
+        return Fraction(1, f * f)
+    return Fraction(int(k % f == 0), f)
+
+
+def _factor_mass(f: int, k: int) -> Fraction:
+    """sum_{r < f} w_f(r, k) = (f - 1)/f**2 + [f | k]/f: the f - 1 nonzero r share one weight."""
+    return (f - 1) * class_weight(f, 1, k) + class_weight(f, 0, k)
+
+
+def factor_b_law(f: int) -> list[Fraction]:
+    """The factor-f B law, pb_f(k) for k < f; pb(k) = pb_p(k mod p) pb_q(k mod q)."""
+    return [_factor_mass(f, k) for k in range(f)]
+
+
+def factor_a_law(f: int, k: int) -> list[Fraction]:
+    """The factor-f part of the unnormalised A column at B outcome k, w_f(r, k) for r < f."""
+    return [class_weight(f, r, k) for r in range(f)]
+
+
+def class_conditional(n: int, n0: int) -> np.ndarray:
+    """The A law of the exact run given B outcome n0, w_p w_q / pb(n0) at every l < N.
+
+    A value depends only on whether p and q divide l, so the four class
+    values are exact rationals, each rounded once to a double.
+    """
+    p = next(d for d in range(3, n, 2) if n % d == 0)
+    q = n // p
+    mass = _factor_mass(p, n0) * _factor_mass(q, n0)
+    table = np.array([
+        [float(class_weight(p, 1 - dp, n0) * class_weight(q, 1 - dq, n0) / mass) for dq in (0, 1)]
+        for dp in (0, 1)
+    ])  # table[dp, dq]: dp = [p | l], dq = [q | l]
+    ell = np.arange(n)
+    return table[(ell % p == 0).astype(int), (ell % q == 0).astype(int)]
 
 
 def qubit_comb_mass_direct(n: int, q_bits: int) -> float:

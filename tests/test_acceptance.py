@@ -31,7 +31,6 @@ from gausshor.states import (
     uniform_product,
 )
 from gausshor.superposition import (
-    p_b_closed_reference,
     p_b_distribution,
     run_exact,
     run_qubit,
@@ -189,13 +188,6 @@ def test_criterion_07_superposition_marginal():
         assert abs(pb[n0] - brute[n0]) <= 1e-9, n0
     useful = success_mass(run).total_useful
     assert abs(useful - float(Fraction(3097, 8281))) <= 1e-9
-    s = run.s
-    print(
-        "\n  note: delta-comb closed form diverges from brute force: "
-        f"it gives {p_b_closed_reference(s, 0)} at n0=0 and "
-        f"{p_b_closed_reference(s, 7)} on gcd=7 outcomes, vs brute-force "
-        "325/8281 and 156/8281; brute force is authoritative"
-    )
     _verdict(
         7,
         True,

@@ -655,6 +655,18 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert rc == 2
 
 
+def test_config_file_applies_only_the_keys_a_command_takes(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("seed = 5\ntrials = 3\n")
+    plain = run_main("purity", "--n", "15", capsys=capsys)
+    assert plain[0] == 0
+    assert run_main("purity", "--n", "15", "--config", str(conf), capsys=capsys) == plain
+    args = ("superposition", "--n", "91", "--mode", "exact", "--report", "success")
+    from_file = run_main(*args, "--config", str(conf), capsys=capsys)
+    assert from_file == run_main(*args, "--seed", "5", "--trials", "3", capsys=capsys)
+    assert "seed=5" in from_file[1] and from_file != run_main(*args, capsys=capsys)
+
+
 def test_csv_json_numeric_identity(tmp_path, capsys):
     base = ["superposition", "--n", "91", "--mode", "exact", "--report", "pb"]
     csv_file = tmp_path / "pb.csv"

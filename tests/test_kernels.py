@@ -198,6 +198,13 @@ def test_eval_F_direct_vs_closed_random_rationals():
         )
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1 + 0.5 / 293])
+def test_eval_F_matches_exactly_reduced_sum(alpha):
+    # a float phase (k * alpha) % 1.0 was 3.7e-11 off at alpha = 0.3
+    expected = oracles.comb_sum_exact(alpha, 2**16)
+    assert abs(eval_F(alpha, 2**16) - expected) <= 1e-13 * abs(expected)
+
+
 def test_eval_F_closed_integral_alpha():
     for m_terms in (1, 2, 293, 1024):
         assert eval_F_closed(3.0, m_terms) == complex(m_terms)

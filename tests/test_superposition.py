@@ -12,7 +12,6 @@ from gausshor.states import (
     BipartiteState,
     StateIntegrityError,
     ZeroMarginalError,
-    abs_sq,
     apply_quadratic_phase,
     conditional_a,
     marginal_b,
@@ -20,7 +19,6 @@ from gausshor.states import (
     purity_closed,
     qft_b,
     quadratic_phase_grid,
-    sample_cdf,
     sample_outcome,
     uniform_product,
 )
@@ -30,7 +28,6 @@ from gausshor.superposition import (
     conditional_after_peak,
     exact_conditional,
     factor_mass_a,
-    p_b_closed_reference,
     p_b_distribution,
     peak_index,
     qubit_marginal,
@@ -39,9 +36,8 @@ from gausshor.superposition import (
     sample_factor_driver,
     success_mass,
     success_probability,
-    useful_mass_closed_reference,
 )
-from gausshor.trials import DriverResult, TrialRecord, trial_rng
+from gausshor.trials import trial_rng
 
 import oracles
 
@@ -140,24 +136,6 @@ def test_conditional_zero_structure(run91):
         if math.gcd(n0, n) == 1:
             cond = exact_conditional(run91, n0)
             assert float(np.max(cond.probs[factor_mult])) < 1e-12
-
-
-def test_p_b_closed_reference_documents_divergence(run91):
-    s = run91.s
-    assert p_b_closed_reference(s, 0) == Fraction(163, 8281)
-    assert p_b_closed_reference(s, 7) == Fraction(84, 8281)
-    assert p_b_closed_reference(s, 13) == Fraction(78, 8281)
-    assert p_b_closed_reference(s, 4) == 0
-    # the delta-comb shortcut undercounts the true marginal
-    pb = p_b_distribution(run91)
-    assert float(p_b_closed_reference(s, 0)) < pb.probs[0]
-    total = sum(p_b_closed_reference(s, n0) for n0 in range(91))
-    assert total < 1
-    # and the companion total-mass expression overcounts the brute force
-    ref = useful_mass_closed_reference(s)
-    assert ref == Fraction(3266, 8281)
-    assert abs(float(ref) - 0.3945) < 5e-4
-    assert ref != Fraction(3097, 8281)
 
 
 def test_run_qubit_guards():
@@ -525,105 +503,105 @@ def test_sample_factor_driver_qubit_records_pinned(seed, factor, records):
     assert sample_factor_driver(run, 40, seed) == res
 
 
-# recorded on the one-FFT-per-row exact build, seeds 0-29 with a budget of 100:
-# "n0:ell" per trial ("-" when the measured n0 revealed the factor itself),
-# then the factor found
+# recorded on the factored draws (one residue per factor law, joined by the
+# CRT), seeds 0-29 with a budget of 100: "n0:ell" per trial ("-" when the
+# measured n0 revealed the factor itself), then the factor found
 EXACT_DRIVER_RECORDS = {
     21: [
-        "0:0 15:- -> 3",
-        "5:19 0:19 5:8 12:- -> 3",
-        "9:- -> 3",
-        "18:- -> 3",
-        "0:5 19:10 15:- -> 3",
+        "0:15 -> 3",
+        "12:- -> 3",
+        "15:- -> 3",
         "14:- -> 7",
-        "13:5 9:- -> 3",
-        "17:5 18:- -> 3",
-        "20:10 12:- -> 3",
-        "3:- -> 3",
-        "15:- -> 3",
-        "0:12 -> 3",
-        "10:10 16:19 0:14 -> 7",
-        "19:5 3:- -> 3",
-        "15:- -> 3",
-        "16:16 12:- -> 3",
         "9:- -> 3",
-        "5:10 11:13 9:- -> 3",
-        "15:- -> 3",
-        "3:- -> 3",
-        "17:17 7:- -> 7",
-        "15:- -> 3",
-        "10:8 3:- -> 3",
-        "15:- -> 3",
-        "0:12 -> 3",
-        "10:13 0:0 9:- -> 3",
-        "9:- -> 3",
+        "10:10 16:20 11:16 16:20 9:- -> 3",
         "7:- -> 7",
-        "8:20 18:- -> 3",
+        "8:10 8:2 9:- -> 3",
+        "2:17 10:19 19:20 15:- -> 3",
+        "12:- -> 3",
+        "14:- -> 7",
+        "18:- -> 3",
+        "9:- -> 3",
+        "14:- -> 7",
+        "5:17 5:1 0:8 15:- -> 3",
+        "11:17 19:19 12:- -> 3",
+        "15:- -> 3",
+        "9:- -> 3",
+        "17:10 7:- -> 7",
         "6:- -> 3",
+        "5:16 0:5 0:0 11:10 13:8 4:5 0:14 -> 7",
+        "4:2 14:- -> 7",
+        "16:19 18:- -> 3",
+        "8:13 3:- -> 3",
+        "18:- -> 3",
+        "10:20 0:11 6:- -> 3",
+        "3:- -> 3",
+        "15:- -> 3",
+        "6:- -> 3",
+        "18:- -> 3",
     ],
     91: [
-        "0:0 72:69 73:40 42:- -> 7",
-        "26:- -> 13",
-        "42:- -> 7",
-        "84:- -> 7",
-        "0:21 -> 7",
-        "65:- -> 13",
-        "61:24 42:- -> 7",
-        "78:- -> 13",
-        "90:41 56:- -> 7",
-        "17:73 7:- -> 7",
-        "71:20 65:- -> 13",
-        "9:62 41:34 76:20 28:- -> 7",
+        "28:- -> 7",
+        "36:1 77:- -> 7",
+        "16:20 10:64 53:88 12:45 30:32 65:- -> 13",
+        "13:- -> 13",
+        "56:- -> 7",
+        "46:58 4:12 61:3 4:12 56:- -> 7",
+        "67:43 65:- -> 13",
+        "68:31 69:4 43:48 9:43 52:- -> 13",
+        "83:83 46:23 10:89 28:- -> 7",
         "49:- -> 7",
-        "85:23 17:59 20:51 33:73 1:12 2:44 29:17 18:41 49:- -> 7",
-        "71:74 86:80 15:20 6:27 54:11 58:83 45:74 74:76 87:1 57:44 49:- -> 7",
-        "76:66 57:74 16:74 56:- -> 7",
-        "43:34 42:- -> 7",
-        "26:- -> 13",
-        "71:50 62:3 20:2 38:11 67:88 0:0 40:53 47:1 14:- -> 7",
+        "54:38 46:53 87:73 85:75 83:34 23:44 33:43 57:74 71:53 35:- -> 7",
         "21:- -> 7",
-        "78:- -> 13",
-        "68:62 84:- -> 7",
-        "50:37 18:61 17:48 83:51 42:- -> 7",
-        "73:27 8:58 36:68 40:74 82:82 84:- -> 7",
-        "0:52 -> 13",
-        "49:- -> 7",
-        "46:50 87:6 69:16 59:33 0:78 -> 13",
-        "35:- -> 7",
-        "39:- -> 13",
-        "30:67 26:- -> 13",
+        "31:2 89:9 35:- -> 7",
+        "41:86 21:- -> 7",
+        "75:18 76:80 28:- -> 7",
+        "61:6 88:10 49:- -> 7",
+        "30:36 86:25 63:- -> 7",
+        "43:16 59:47 86:47 87:58 8:37 67:31 76:16 69:31 42:- -> 7",
+        "19:58 39:- -> 13",
+        "63:- -> 7",
+        "61:3 65:- -> 13",
+        "47:68 27:41 37:5 88:81 28:- -> 7",
+        "17:22 21:- -> 7",
+        "68:24 7:- -> 7",
+        "21:- -> 7",
+        "59:11 28:- -> 7",
+        "45:79 13:- -> 13",
+        "16:73 48:58 38:25 43:3 32:9 14:- -> 7",
+        "51:57 55:50 65:- -> 13",
+        "22:53 15:23 16:67 23:20 56:- -> 7",
     ],
     221: [
-        "0:0 178:166 179:97 103:108 92:142 128:124 113:168 128:198 186:129 175:113 210:23 42:59 130:- -> 13",
-        "65:- -> 13",
-        "106:72 119:- -> 17",
-        "205:18 162:188 169:- -> 13",
-        "0:51 -> 17",
-        "160:131 156:- -> 13",
-        "150:58 104:- -> 13",
-        "191:64 194:81 79:88 104:- -> 13",
-        "219:98 138:132 130:- -> 13",
-        "45:176 20:201 67:43 119:- -> 17",
-        "174:49 159:129 121:161 70:132 204:- -> 17",
-        "26:- -> 13",
-        "119:- -> 17",
-        "208:- -> 13",
-        "175:179 210:192 41:50 16:66 134:28 143:- -> 13",
-        "186:160 142:178 43:179 137:47 180:206 145:158 108:216 11:35 85:- -> 17",
-        "107:84 107:146 24:193 21:67 99:167 71:110 98:139 167:151 103:49 141:111 51:- -> 17",
-        "67:93 130:- -> 13",
-        "175:122 152:6 51:- -> 17",
-        "53:199 207:88 195:- -> 13",
-        "191:174 91:- -> 13",
-        "169:- -> 13",
-        "123:89 47:149 44:118 204:- -> 17",
-        "179:64 23:140 90:165 101:179 202:198 206:186 88:56 195:- -> 13",
-        "0:136 -> 17",
-        "121:133 0:0 117:- -> 13",
-        "115:121 213:16 169:- -> 13",
-        "87:80 195:- -> 13",
-        "99:220 195:- -> 13",
-        "78:- -> 13",
+        "156:- -> 13",
+        "133:171 169:- -> 13",
+        "174:180 201:66 138:98 152:110 57:59 17:- -> 17",
+        "51:- -> 17",
+        "91:- -> 13",
+        "9:42 74:49 62:123 74:152 91:- -> 13",
+        "190:209 187:- -> 17",
+        "89:58 141:176 108:11 148:40 136:- -> 17",
+        "194:193 111:81 98:100 157:83 34:- -> 17",
+        "183:31 117:- -> 13",
+        "88:135 9:189 97:45 94:218 76:11 82:160 179:158 159:46 93:137 131:98 187:- -> 17",
+        "130:- -> 13",
+        "58:172 49:198 182:- -> 13",
+        "207:147 27:149 93:152 30:197 52:- -> 13",
+        "166:176 116:19 105:77 208:- -> 13",
+        "62:76 47:201 183:15 189:192 49:73 164:63 135:174 52:- -> 13",
+        "5:183 44:33 65:- -> 13",
+        "159:4 111:10 44:10 46:212 197:134 139:57 116:4 193:58 39:- -> 13",
+        "127:42 34:- -> 17",
+        "15:19 142:134 154:27 183:141 17:- -> 17",
+        "115:71 69:116 119:- -> 17",
+        "113:191 155:155 82:23 98:21 156:- -> 13",
+        "6:79 28:70 144:118 128:186 161:28 151:133 171:60 184:216 60:179 211:139 108:164 90:86 71:92 65:- -> 13",
+        "140:201 78:- -> 13",
+        "130:- -> 13",
+        "162:151 156:- -> 13",
+        "110:69 51:- -> 17",
+        "56:44 11:42 33:203 56:174 60:29 1:95 114:76 13:- -> 13",
+        "135:92 89:15 69:28 2:193 198:197 65:- -> 13",
+        "29:86 3:81 123:189 30:77 40:200 165:150 136:- -> 17",
     ],
 }
 
@@ -645,30 +623,78 @@ def test_sample_factor_driver_reuses_prepared_run(run91):
     assert sample_factor_driver(run91, 100, 7) == sample_factor_driver(run_exact(91), 100, 7)
 
 
-def _normalised_exact_driver(run, max_trials, seed):
-    """The exact-mode driver with every A sample drawn from the normalised conditional."""
-    n = run.n
-    pb_cdf = np.cumsum(p_b_distribution(run).probs)
+def _class_law_replay(n, max_trials, seed):
+    """The exact driver's (n0, ell, factor) records, replayed from the class oracle's factor laws.
+
+    Each outcome is one inverse-CDF draw per factor, p first, from the
+    oracle's law for that factor, the residues joined by the CRT; no
+    package numerics are read.  Trials stop at the first outcome sharing
+    a proper divisor with N.
+    """
+    p = next(d for d in range(3, n, 2) if n % d == 0)
+    q = n // p
+
+    def draw(laws, rng):
+        residues = []
+        for law in laws:
+            cdf = np.cumsum([float(w) for w in law])
+            residues.append(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")))
+        r_p, r_q = residues
+        return (r_p * q * pow(q, -1, p) + r_q * p * pow(p, -1, q)) % n
+
+    def divisor(x):
+        g = math.gcd(x, n)
+        return g if 1 < g < n else None
+
+    b_laws = (oracles.factor_b_law(p), oracles.factor_b_law(q))
     records = []
     for t in range(max_trials):
         rng = trial_rng(seed, t)
-        n0 = sample_cdf(pb_cdf, rng)
-        rec = TrialRecord(t, n0, factor=nontrivial_divisor(n0, n))
-        if rec.factor is None:
-            ell = sample_outcome(exact_conditional(run, n0).probs, rng)
-            rec = TrialRecord(t, n0, outcome_a=ell, factor=nontrivial_divisor(ell, n))
-        records.append(rec)
-        if rec.factor is not None:
-            return DriverResult(n, True, rec.factor, t + 1, max_trials, seed, tuple(records))
-    return DriverResult(n, False, None, max_trials, max_trials, seed, tuple(records))
+        n0 = draw(b_laws, rng)
+        ell, factor = None, divisor(n0)
+        if factor is None:
+            ell = draw((oracles.factor_a_law(p, n0), oracles.factor_a_law(q, n0)), rng)
+            factor = divisor(ell)
+        records.append((n0, ell, factor))
+        if factor is not None:
+            break
+    return records
 
 
 @pytest.mark.parametrize("n", [91, 1147])
 def test_exact_driver_samples_the_normalised_conditional(n):
+    """Seeds 0-199: the driver's records are those of the factored draw from the class laws."""
     run = run_exact(n)
     for seed in range(200):
-        expected = _normalised_exact_driver(run, 100, seed)
-        assert sample_factor_driver(run, 100, seed) == expected, seed
+        res = sample_factor_driver(run, 100, seed)
+        records = [(r.outcome_b, r.outcome_a, r.factor) for r in res.records]
+        assert records == _class_law_replay(n, 100, seed), seed
+
+
+def test_exact_driver_allocates_nothing_of_length_n():
+    """At N = 988027 one length-N float array takes 7.5 MiB; the driver and success_mass stay below 4 MiB."""
+    run = run_exact(988027)
+    tracemalloc.start()
+    try:
+        res = sample_factor_driver(run, 1000, 1)
+        success_mass(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.succeeded
+    assert peak < 4 * 2**20
+
+
+def test_second_qubit_driver_call_rebuilds_no_cdf():
+    """A prepared run keeps its cumulative B law: a second call draws from it, not from the marginal."""
+    run = run_qubit(21, 9)
+    first = sample_factor_driver(run, 40, 12)
+    cdfs = run.b_cdfs
+    # a CDF rebuilt from either of these would draw other outcomes
+    run.pb_probs = np.full(512, np.nan)
+    run.factor_laws = ((512, run.pb_probs),)
+    assert sample_factor_driver(run, 40, 12) == first
+    assert run.b_cdfs is cdfs
 
 
 @pytest.mark.parametrize("n, expected", [(21, Fraction(88, 147)), (91, Fraction(2934, 8281)),
@@ -818,14 +844,23 @@ def test_exact_readers_match_the_dense_rebuild(n):
             assert np.array_equal(exact_conditional(run, n0).probs, conditional_a(dense, n0).probs)
 
 
-@pytest.mark.parametrize("n", SWEEP_NS)
+# the sweep's moduli, the lopsided 12279 = 3 * 4093 and the balanced 988027 = 991 * 997
+CLASS_NS = (*SWEEP_NS, 12279, 988027)
+
+
+@pytest.mark.parametrize("n", CLASS_NS)
 def test_factored_pb_and_success_mass_match_exact_rationals(n):
-    """pb[0] = (2p-1)(2q-1)/N**2, gcd p: (2p-1)(q-1)/N**2, gcd q: (p-1)(2q-1)/N**2, else (p-1)(q-1)/N**2."""
+    """pb[0] = (2p-1)(2q-1)/N**2, gcd p: (2p-1)(q-1)/N**2, gcd q: (p-1)(2q-1)/N**2, else (p-1)(q-1)/N**2.
+
+    These are the class oracle's factor laws multiplied out; pb is held to
+    2e-15 relative, every success mass to 1e-15 absolute.
+    """
     run = run_exact(n)
     p, q = run.s.p, run.s.q
     k = np.arange(n)
     num = np.where(k % p == 0, 2 * p - 1, p - 1) * np.where(k % q == 0, 2 * q - 1, q - 1)
-    assert np.max(np.abs(run.pb_probs - num / (n * n))) <= 1e-15
+    exact = num / (n * n)
+    assert np.max(np.abs(run.pb_probs - exact) / exact) <= 2e-15
     zero = Fraction((2 * p - 1) * (2 * q - 1), n * n)
     factor = Fraction((q - 1) ** 2 * (2 * p - 1) + (p - 1) ** 2 * (2 * q - 1), n * n)
     sm = success_mass(run)
@@ -833,6 +868,29 @@ def test_factored_pb_and_success_mass_match_exact_rationals(n):
     assert abs(sm.p_b_factor_multiple - float(factor)) <= 1e-15
     assert abs(sm.p_b_coprime - float(1 - zero - factor)) <= 1e-15
     assert abs(sm.total_useful - float(zero + factor)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [91, 221])
+def test_class_oracle_sums_to_the_class_pb(n):
+    """Summed over l, the class weights w_p w_q give the product of the oracle's factor laws."""
+    p = next(d for d in range(3, n, 2) if n % d == 0)
+    q = n // p
+    law_p, law_q = oracles.factor_b_law(p), oracles.factor_b_law(q)
+    for k in range(n):
+        total = sum(oracles.class_weight(p, ell, k) * oracles.class_weight(q, ell, k) for ell in range(n))
+        assert total == law_p[k % p] * law_q[k % q]
+        assert total == Fraction((p - 1 + p * (k % p == 0)) * (q - 1 + q * (k % q == 0)), n * n)
+
+
+@pytest.mark.parametrize("n", [91, 1147, 12279, 988027])
+def test_exact_conditional_matches_the_class_oracle(n):
+    """n0 = 0, a multiple of p, a multiple of q and a unit, each within 1e-14 of its column's largest value."""
+    run = run_exact(n)
+    p, q = run.s.p, run.s.q
+    for n0 in (0, 2 * p, q, n - 1):
+        expected = oracles.class_conditional(n, n0)
+        got = exact_conditional(run, n0).probs
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(expected), n0
 
 
 def test_exact_run_allocates_no_n_by_n_grid():
@@ -847,15 +905,6 @@ def test_exact_run_allocates_no_n_by_n_grid():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
-
-
-@pytest.mark.parametrize("n", [91, 1147, 3063])
-def test_pb_probs_keep_the_full_grid_column_sum_bits(n):
-    # 3063 = 3 * 1021: the q grid spans 8 row blocks
-    run = run_exact(n)
-    k = np.arange(n)
-    pb_p, pb_q = (np.sum(abs_sq(g), axis=0) for g in run.grids)
-    assert run.pb_probs.tobytes() == (pb_p[k % run.s.p] * pb_q[k % run.s.q]).tobytes()
 
 
 def test_pb_probs_peak_allocation_below_a_quarter_of_the_q_grid():
