@@ -44,20 +44,12 @@ from .shor_gauss import (
 )
 from .states import (
     AmplitudeCapError,
-    BipartiteState,
     Distribution,
     StateIntegrityError,
     ZeroMarginalError,
     amplitude_cap,
-    apply_quadratic_phase,
-    conditional_a,
-    marginal_b,
-    purity_a,
     purity_closed,
-    qft_b,
-    qft_vector,
     sample_outcome,
-    uniform_product,
 )
 from .superposition import (
     SuccessMass,

@@ -531,10 +531,10 @@ def _annotate_bins(s: Semiprime, q_bits: int, periods: list[int]):
     return _label_notes(notes)
 
 
-def _field_section(name: str, obj, fields: str, attrs=()) -> Section:
-    """A field,value section holding the named attributes of obj."""
-    names = fields.split()
-    return Section(name, attrs, ("field", "value"), [names, [getattr(obj, f) for f in names]])
+def _field_section(name: str, pairs, attrs=()) -> Section:
+    """A field,value section, one row per (field, value) pair."""
+    fields, values = zip(*pairs)
+    return Section(name, attrs, ("field", "value"), [list(fields), list(values)])
 
 
 def _driver_sections(result) -> list[Section]:
@@ -542,7 +542,7 @@ def _driver_sections(result) -> list[Section]:
     fields = ("index", "outcome_b", "outcome_a", "candidate", "factor")
     trials = [[getattr(r, f) for r in result.records] for f in fields]
     return [
-        _field_section("driver", result, "n succeeded factor trials_run max_trials seed"),
+        _field_section("driver", zip(result._fields, result[:-1])),  # all but the records
         Section("trials", header=header, columns=trials),
     ]
 
@@ -598,12 +598,11 @@ def cmd_shor_gauss(cfg: RunConfig) -> int:
                 [("branch", str(label))],
             )
         )
-        fields = "period positions mass dc_mass max_on_peak max_off_structure"
         for period in periods:
             rep = shor_gauss.analyze_peaks(dist, period, q_bits, modulus=s.n)
-            sec = _field_section("peak_report", rep, fields, [("period", str(period))])
-            sec.columns[1][1] = " ".join(map(str, rep.positions))  # one cell
-            sections.append(sec)
+            fields = {**rep._asdict(), "positions": " ".join(map(str, rep.positions))}
+            attrs = [("period", str(period))]
+            sections.append(_field_section("peak_report", fields.items(), attrs))
     result = None
     if cfg.trials > 0:
         result = shor_gauss.factor_driver(
@@ -619,12 +618,9 @@ def _purity_report(run, **lead) -> tuple[Section, str]:
     measured = superposition.purity(run)
     closed = purity_closed(run.s)
     closed_text = _over_denominator(closed, run.n * run.n)
-    columns = [
-        [*lead, "measured", "closed", "closed_float"],
-        [*lead.values(), measured, closed_text, float(closed)],
-    ]
+    fields = {**lead, "measured": measured, "closed": closed_text, "closed_float": float(closed)}
     return (
-        Section("purity", header=("field", "value"), columns=columns),
+        _field_section("purity", fields.items()),
         f"purity={_float_text(measured)} closed={closed_text}",
     )
 
@@ -676,8 +672,8 @@ def cmd_superposition(cfg: RunConfig) -> int:
         )
     if mode == "exact" and report in ("all", "success"):
         sm = superposition.success_mass(run)
-        fields = "p_b_zero p_b_factor_multiple p_b_coprime total_useful"
-        sections.append(_field_section("success_mass", sm, fields))
+        fields = [*sm._asdict().items(), ("total_useful", sm.total_useful)]
+        sections.append(_field_section("success_mass", fields))
     purity_line = None
     if mode == "exact" and report in ("all", "purity"):
         purity_sec, purity_line = _purity_report(run)

@@ -28,7 +28,6 @@ from .trials import TrialStream
 NORM_TOL = 1e-9
 DEFAULT_AMPLITUDE_CAP = 1 << 24
 _MEM_CAP_ENV = "GAUSSHOR_MEM_CAP"
-_GRAM_BLOCK_ENTRIES = 1 << 17
 
 
 class AmplitudeCapError(ValueError):
@@ -74,12 +73,9 @@ def check_unit_norm(amps: np.ndarray) -> None:
         raise StateIntegrityError(f"squared norm {norm_sq!r} deviates from 1")
 
 
-def abs_sq(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise |z|^2 with one temporary; the same bits as z.real**2 + z.imag**2.
-
-    With out given, the moduli are written there instead of a new array.
-    """
-    sq = np.square(z.real, out=out)
+def abs_sq(z: np.ndarray) -> np.ndarray:
+    """Elementwise |z|^2 with one temporary; the same bits as z.real**2 + z.imag**2."""
+    sq = np.square(z.real)
     sq += z.imag**2
     return sq
 
@@ -96,25 +92,23 @@ def row_blocks(n_rows: int, row_len: int, entries: int):
         yield np.arange(start, min(start + step, n_rows), dtype=np.int64)
 
 
-def quadratic_phase_grid(factor, rows_a: np.ndarray, dim_b: int, n: int) -> np.ndarray:
-    """New grid factor * exp[2*pi*i*m^2*l/n], one row per A index l in rows_a, built in blocks.
+def quadratic_phase_grid(rows_a: np.ndarray, dim_b: int, n: int) -> np.ndarray:
+    """New grid exp[2*pi*i*m^2*l/n], one row per A index l in rows_a, built in blocks.
 
     The grid has shape (len(rows_a), dim_b): apply_quadratic_phase asks for
     every A row; an exact run at N = p*q asks, for each prime factor f, for
-    the f rows r * (N/f), r < f, at modulus f.  factor is a scalar or a
-    full grid.  Phase indices are reduced mod n in integer arithmetic
-    before the table lookup; an index block holds about 2**16 entries, so
-    no full index grid is built.
+    the f rows r * (N/f), r < f, at modulus f.  Phase indices are reduced
+    mod n in integer arithmetic before the table lookup; an index block
+    holds about 2**16 entries, so no full index grid is built.
     """
     if n < 1:
         raise ValueError(f"phase modulus must be >= 1, got {n}")
     roots = phase_roots(n)
     msq = (np.arange(dim_b, dtype=np.int64) ** 2) % n
-    factor = np.broadcast_to(factor, (len(rows_a), dim_b))
     grid = np.empty((len(rows_a), dim_b), dtype=np.complex128)
     for rows in row_blocks(len(rows_a), dim_b, 1 << 16):
         block = slice(rows[0], rows[-1] + 1)
-        np.multiply(factor[block], roots[(rows_a[block, None] * msq) % n], out=grid[block])
+        grid[block] = roots[(rows_a[block, None] * msq) % n]
     return grid
 
 
@@ -168,7 +162,7 @@ def apply_quadratic_phase(state: BipartiteState, n: int) -> BipartiteState:
     Diagonal, hence norm-preserving; n sets the phase period and is
     independent of either register dimension.
     """
-    amps = quadratic_phase_grid(state.amps, np.arange(state.dim_a), state.dim_b, n)
+    amps = state.amps * quadratic_phase_grid(np.arange(state.dim_a), state.dim_b, n)
     return BipartiteState(state.dim_a, state.dim_b, amps)
 
 
@@ -222,21 +216,10 @@ def purity_a(state: BipartiteState) -> float:
 
     Computed as sum_{l,l'} |<row_l, row_l'>|^2 over B-amplitude rows.  For a
     pure joint state both reduced purities coincide, so the Gram matrix is
-    taken on the smaller side.  Only the Gram matrix's upper half is formed,
-    in blocks of rows of about 2**17 entries: conj(block) against every row
-    from the block's first one on, so no conjugate copy of the whole grid is
-    made.  The squared moduli go into one float64 d x d array, each strip
-    mirrored below the diagonal (|conj z|^2 has the bits of |z|^2), and the
-    array is summed in the order of the full Gram matrix, with its bits.
+    taken on the smaller side.
     """
     a = state.amps if state.dim_a <= state.dim_b else state.amps.T
-    d = a.shape[0]
-    sq = np.empty((d, d))
-    for rows in row_blocks(d, d, _GRAM_BLOCK_ENTRIES):
-        start, stop = rows[0], rows[-1] + 1
-        strip = abs_sq(np.conj(a[start:stop]) @ a[start:].T, out=sq[start:stop, start:])
-        sq[stop:, start:stop] = strip[:, stop - start:].T
-    return float(np.sum(sq))
+    return float(np.sum(abs_sq(np.conj(a) @ a.T)))
 
 
 def purity_closed(s: Semiprime) -> Fraction:

@@ -142,7 +142,8 @@ def _factor_grid(n: int, f: int) -> np.ndarray:
     Built with the ops of the composed pipeline at modulus f: phases at
     amplitude 1/f, an inverse FFT along B, a sqrt(f) scale.
     """
-    grid = quadratic_phase_grid(complex(1.0 / f), np.arange(f) * (n // f), f, f)
+    grid = quadratic_phase_grid(np.arange(f) * (n // f), f, f)
+    grid *= complex(1.0 / f)
     np.fft.ifft(grid, axis=1, out=grid)
     grid *= math.sqrt(f)
     return grid

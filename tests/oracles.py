@@ -132,6 +132,17 @@ def class_conditional(n: int, n0: int) -> np.ndarray:
     return table[(ell % p == 0).astype(int), (ell % q == 0).astype(int)]
 
 
+def exact_success_law(n: int) -> Fraction:
+    """One exact-driver trial's chance of a factor at N = p*q, the README's law
+
+    P* = [(q-1)^2 (2p-1) + (p-1)^2 (2q-1) + p(q-1) + q(p-1)] / N^2.
+    """
+    p = next(d for d in range(3, n, 2) if n % d == 0)
+    q = n // p
+    hits = (q - 1) ** 2 * (2 * p - 1) + (p - 1) ** 2 * (2 * q - 1) + p * (q - 1) + q * (p - 1)
+    return Fraction(hits, n * n)
+
+
 def qubit_comb_mass_direct(n: int, q_bits: int) -> float:
     """B mass of the power-of-two-register run on the nearest-bin comb of 2**Q/N.
 

@@ -95,6 +95,26 @@ def test_module_entry_point():
     assert "gauss-table" in cp.stdout
 
 
+def test_tracer_names_resolve_in_the_package():
+    """Every function bench/tracer.py wraps still exists, and its install wraps each one."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    code = (
+        "import importlib, sys\n"
+        f"sys.path.insert(0, {str(bench)!r})\n"
+        "from tracer import WRAPPED, Tracer\n"
+        "Tracer(0).install()\n"
+        "for layer, fns in WRAPPED.items():\n"
+        "    home = importlib.import_module(f'gausshor.{layer}')\n"
+        "    for fn in fns:\n"
+        "        print(layer, fn, hasattr(getattr(home, fn, None), '__wrapped__'))\n"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                        env=child_env())
+    assert cp.returncode == 0, cp.stderr
+    lines = cp.stdout.splitlines()
+    assert lines and all(line.endswith(" True") for line in lines), lines
+
+
 def test_superposition_runs_leave_numpy_ma_unimported():
     # np.unique imports numpy.ma lazily, a costly import that no distribution needs
     probe = "import sys, numpy; print('numpy.ma' in sys.modules)"

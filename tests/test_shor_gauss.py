@@ -645,6 +645,15 @@ def test_factor_driver_budget_one_success_frequency(n, q_bits):
     assert abs(freq - p) <= 4.5 * math.sqrt(p * (1 - p) / len(seeds))
 
 
+# the branch law tends to the exact driver's P* as the register grows; the
+# (N, Q) grid and c = 0.25 were fixed before the first run
+@pytest.mark.parametrize("n, q_bits", [(35, 11), (35, 13), (35, 15), (91, 14), (91, 16)])
+def test_branch_success_law_approaches_the_exact_law(n, q_bits):
+    """|P - P*| <= 0.25 N / 2**Q, P computed from the branch masses and the unit spectrum."""
+    gap = _branch_success_probability(n, q_bits) - float(oracles.exact_success_law(n))
+    assert abs(gap) <= 0.25 * n / 2**q_bits
+
+
 @pytest.mark.parametrize("n, q_bits", BRANCH_SUCCESS_LAW_SIZES)
 def test_factor_driver_mean_trials_to_success(n, q_bits):
     """Trials to success are geometric: over seeds 0..999 their mean is 1/P within 4.5 sigma."""

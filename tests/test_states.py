@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -132,13 +131,11 @@ def test_marginal_b_examples():
 @pytest.mark.parametrize("n", [437, 899])
 def test_marginal_b_blocks_keep_full_grid_bits(n):
     state = psi2(n)
-    assert states._GRAM_BLOCK_ENTRIES // n < n  # several row blocks
     assert np.array_equal(marginal_b(state).probs, np.sum(states.abs_sq(state.amps), axis=0))
 
 
 @pytest.mark.parametrize("shape", [(700, 300), (300, 700), (3, 150_000)])
 def test_marginal_b_blocks_keep_full_grid_bits_non_square(shape):
-    """(3, 150000) has rows longer than a block: one row per block."""
     rng = np.random.default_rng(sum(shape))
     amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
@@ -184,7 +181,7 @@ def test_purity_examples_and_qft_invariance():
 
 
 def gram_purity(a: np.ndarray) -> float:
-    """The full-Gram purity formula the blocked purity_a must reproduce."""
+    """The full-Gram purity formula purity_a must reproduce bit for bit."""
     gram = a @ a.conj().T
     return float(np.sum(gram.real**2 + gram.imag**2))
 
@@ -195,14 +192,9 @@ def test_purity_matches_full_gram_bits(n):
     assert purity_a(state) == gram_purity(state.amps)
 
 
-def test_purity_test_sizes_cover_uneven_blocks():
-    step = states._GRAM_BLOCK_ENTRIES // 899
-    assert 1 < step < 899 and 899 % step != 0  # several blocks, the last one short
-
-
 @pytest.mark.parametrize("shape", [(5, 9), (9, 5), (300, 700), (700, 300)])
 def test_purity_non_square(shape):
-    """Both orientations; 300 x 700 spans more than one block of rows."""
+    """Both orientations, each taking the Gram matrix on the smaller side."""
     rng = np.random.default_rng(sum(shape))
     amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
@@ -212,18 +204,6 @@ def test_purity_non_square(shape):
     assert purity_a(BipartiteState(shape[1], shape[0], amps.T)) == pytest.approx(
         expected, rel=1e-15, abs=0
     )
-
-
-def test_purity_peak_allocation_below_one_complex_grid():
-    n = 899
-    state = psi2(n)
-    tracemalloc.start()
-    try:
-        purity_a(state)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * n * n
 
 
 def test_purity_closed_maximal_near_sqrt():

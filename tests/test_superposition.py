@@ -442,7 +442,7 @@ def test_run_exact_matches_direct_sums(n):
 
 def _grid_with_rows(f: int, rows: np.ndarray) -> np.ndarray:
     """What _factor_grid builds when row r carries the phase of l = rows[r] instead of r * N/f."""
-    grid = quadratic_phase_grid(complex(1.0 / f), rows, f, f)
+    grid = quadratic_phase_grid(rows, f, f) * complex(1.0 / f)
     return np.fft.ifft(grid, axis=1) * math.sqrt(f)
 
 
@@ -763,6 +763,15 @@ def qubit_success_law(run) -> float:
 def test_qubit_driver_success_law(n, q_bits):
     law = qubit_success_law(run_qubit(n, q_bits))
     assert abs(law - QUBIT_SUCCESS_LAWS[n, q_bits]) <= 5e-7
+
+
+# the qubit law tends to the exact driver's P* as the register grows; the
+# (N, Q) grid and c = 0.1 were fixed before the first run
+@pytest.mark.parametrize("n, q_bits", [(21, 9), (21, 11), (35, 11)])
+def test_qubit_success_law_approaches_the_exact_law(n, q_bits):
+    """|P - P*| <= 0.1 N / 2**Q, P computed from the two-scale marginal and columns."""
+    gap = qubit_success_law(run_qubit(n, q_bits)) - float(oracles.exact_success_law(n))
+    assert abs(gap) <= 0.1 * n / 2**q_bits
 
 
 @pytest.mark.parametrize("n, q_bits", QUBIT_SUCCESS_LAWS)
